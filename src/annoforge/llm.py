@@ -1,4 +1,7 @@
-"""Chat-completion client with batching, retries, and record/replay caching.
+"""Chat-completion client with retries and record/replay caching.
+
+A retryable HTTP reply (429 or 5xx) is retried after its ``Retry-After`` delay
+(capped at the timeout); without a usable one, after ``backoff_base * 2**(n-1)``.
 
 Three backends share one interface:
 
@@ -17,14 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import requests
+
+log = logging.getLogger(__name__)
 
 BACKENDS = ("http", "replay", "record")
 API_KEY_VARS = ("ANNOFORGE_API_KEY", "OPENAI_API_KEY")
@@ -120,16 +125,33 @@ class ReplayCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[str, str]] = {}
+        # (offset, separator): before the next put, cut the file at offset and
+        # write separator, so an unterminated last line never prefixes a new one
+        self._tail_fix: tuple[int, bytes] | None = None
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
+            with open(self.path, "rb") as fh:
                 for line in fh:
                     if not line.strip():
                         continue
-                    record = json.loads(line)
-                    self._entries[record["request_key"]] = (
-                        record["response_text"], record["finish_reason"])
+                    if line.endswith(b"\n"):
+                        self._load(line)
+                        continue
+                    # only the last line lacks a newline: a write cut short
+                    end = fh.tell()
+                    try:
+                        self._load(line)
+                    except ValueError as exc:
+                        log.warning("%s: dropping torn last line (%s)", self.path, exc)
+                        self._tail_fix = (end - len(line), b"")
+                    else:
+                        self._tail_fix = (end, b"\n")
         elif must_exist:
             raise FileNotFoundError(f"replay cache not found: {self.path}")
+
+    def _load(self, line: bytes) -> None:
+        record = json.loads(line.decode("utf-8"))
+        self._entries[record["request_key"]] = (
+            record["response_text"], record["finish_reason"])
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
@@ -145,8 +167,13 @@ class ReplayCache:
         with self._lock:
             self._entries[key] = (text, finish_reason)
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            with open(self.path, "ab") as fh:
+                if self._tail_fix is not None:
+                    offset, separator = self._tail_fix
+                    fh.truncate(offset)
+                    fh.write(separator)
+                    self._tail_fix = None
+                fh.write((line + "\n").encode("utf-8"))
 
 
 class LLMClient:
@@ -186,27 +213,6 @@ class LLMClient:
             self.cache.put(key, response.text, response.finish_reason)
         return response
 
-    def complete_batch(self, requests_: list[ChatRequest],
-                       parallelism: int = 1) -> list[ChatResponse]:
-        """Run many requests with at most ``parallelism`` in flight.
-
-        Responses align positionally with the inputs; a failing slot yields
-        a finish_reason="error" response instead of aborting the batch.
-        """
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if not requests_:
-            return []
-
-        def run(req: ChatRequest) -> ChatResponse:
-            try:
-                return self.complete(req)
-            except Exception as exc:
-                return ChatResponse(text="", finish_reason="error", error=str(exc))
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(run, requests_))
-
     def _http_call(self, request: ChatRequest) -> ChatResponse:
         body = {
             "model": request.params.model_name,
@@ -223,6 +229,7 @@ class LLMClient:
         url = f"{self.base_url}/v1/chat/completions"
         last_error = "no attempts made"
         for attempt in range(1, self.max_attempts + 1):
+            wait = self.backoff_base * 2 ** (attempt - 1)
             try:
                 resp = requests.post(url, json=body, headers=headers,
                                      timeout=self.timeout)
@@ -234,8 +241,11 @@ class LLMClient:
                 last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
                 if resp.status_code not in RETRYABLE_STATUS:
                     raise LLMError(last_error)
+                retry_after = _delta_seconds(resp.headers.get("Retry-After"))
+                if retry_after is not None:
+                    wait = min(retry_after, self.timeout)
             if attempt < self.max_attempts:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
+                time.sleep(wait)
         raise LLMError(f"giving up after {self.max_attempts} attempts; {last_error}")
 
     @staticmethod
@@ -252,3 +262,15 @@ class LLMClient:
             finish_reason="length" if finish_reason == "length" else "stop",
             usage=payload.get("usage"),
         )
+
+
+def _delta_seconds(value: str | None) -> float | None:
+    """A ``Retry-After`` value read as delta-seconds; None unless a number >= 0.
+
+    An HTTP-date form is not parsed and yields None, as does a missing header.
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if seconds >= 0 else None

@@ -22,9 +22,11 @@ class _Handler(BaseHTTPRequestHandler):
         with self.server.state_lock:
             self.server.seen.append({"path": self.path, "payload": payload,
                                      "headers": dict(self.headers)})
-        status, body = self.server.responder(payload)
+        status, body, *extra = self.server.responder(payload)
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -41,6 +43,7 @@ class ChatServer(ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.state_lock = threading.Lock()
         self.seen: list[dict] = []
+        # payload -> (status, body) or (status, body, extra response headers)
         self.responder = self.echo
 
     @staticmethod

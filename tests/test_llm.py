@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
-import time
+import logging
 
 import pytest
 
@@ -88,6 +87,44 @@ def test_replay_cache_round_trip(tmp_path):
     assert again.get("k1") == ("hello", "stop")
     with pytest.raises(ReplayCacheMissError):
         again.get("nope")
+
+
+def test_replay_cache_drops_torn_last_line(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"request_key": "k1", "response_text": "a", "finish_reason": "stop"}\n'
+                    '{"request_key": "k2", "respo', encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="annoforge.llm"):
+        cache = ReplayCache(path)
+    assert "k1" in cache and "k2" not in cache
+    assert "torn last line" in caplog.text
+    # the next entry replaces the fragment instead of extending it
+    cache.put("k3", "c", "stop")
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == \
+        ['{"request_key": "k3", "response_text": "c", "finish_reason": "stop"}']
+    caplog.clear()
+    again = ReplayCache(path)
+    assert again.get("k1") == ("a", "stop") and again.get("k3") == ("c", "stop")
+    assert not caplog.records
+
+
+def test_replay_cache_keeps_complete_unterminated_last_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"request_key": "k1", "response_text": "a", "finish_reason": "stop"}',
+                    encoding="utf-8")
+    cache = ReplayCache(path)
+    assert cache.get("k1") == ("a", "stop")
+    cache.put("k2", "b", "stop")
+    again = ReplayCache(path)
+    assert again.get("k1") == ("a", "stop") and again.get("k2") == ("b", "stop")
+
+
+def test_replay_cache_malformed_terminated_line_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"request_key": "k1", "respo\n'
+                    '{"request_key": "k2", "response_text": "b", "finish_reason": "stop"}\n',
+                    encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        ReplayCache(path)
 
 
 def test_replay_cache_must_exist(tmp_path):
@@ -207,58 +244,59 @@ def test_429_is_retryable_but_404_is_not(chat_server):
     assert len(chat_server.seen) == 1
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    recorded = []
+    monkeypatch.setattr("annoforge.llm.time.sleep", recorded.append)
+    return recorded
+
+
+@pytest.mark.parametrize("status,retry_after,failures,expected", [
+    (429, "0", 1, [0]),
+    (429, "1", 1, [1.0]),
+    (503, "0.5", 1, [0.5]),
+    (429, None, 2, [5, 10]),
+    (429, "soon", 2, [5, 10]),
+    (429, "-3", 2, [5, 10]),
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", 2, [5, 10]),
+    (429, "9999", 1, [30]),
+])
+def test_retry_waits_for_retry_after(chat_server, sleeps, status, retry_after,
+                                     failures, expected):
+    replies = [(status, {"error": "wait"},
+                {} if retry_after is None else {"Retry-After": retry_after})] * failures
+    chat_server.responder = lambda payload: \
+        replies.pop() if replies else (200, completion("done"))
+    client = LLMClient(backend="http", base_url=chat_server.base_url,
+                       backoff_base=5, timeout=30)
+    assert client.complete(user_request("x")).text == "done"
+    assert sleeps == expected
+    assert len(chat_server.seen) == failures + 1
+
+
+def test_transport_error_keeps_exponential_backoff(sleeps):
+    # nothing listens on port 1, so every attempt is refused without a response
+    client = LLMClient(backend="http", base_url="http://127.0.0.1:1",
+                       backoff_base=5, timeout=1)
+    with pytest.raises(LLMError, match="giving up after 3 attempts; transport error"):
+        client.complete(user_request("x"))
+    assert sleeps == [5, 10]
+
+
+def test_429_with_retry_after_still_gives_up_after_three(chat_server, sleeps):
+    chat_server.responder = lambda payload: (429, {"error": "wait"}, {"Retry-After": "0"})
+    client = LLMClient(backend="http", base_url=chat_server.base_url)
+    with pytest.raises(LLMError, match="giving up after 3 attempts"):
+        client.complete(user_request("x"))
+    assert len(chat_server.seen) == 3
+    assert sleeps == [0, 0]
+
+
 def test_malformed_response_is_an_error(chat_server):
     chat_server.responder = lambda payload: (200, {"surprise": True})
     client = LLMClient(backend="http", base_url=chat_server.base_url)
     with pytest.raises(LLMError, match="malformed endpoint response"):
         client.complete(user_request("x"))
-
-
-def test_batch_alignment(chat_server):
-    client = LLMClient(backend="http", base_url=chat_server.base_url)
-    reqs = [user_request(f"msg {i}") for i in range(8)]
-    responses = client.complete_batch(reqs, parallelism=4)
-    assert [r.text for r in responses] == [f"echo: msg {i}" for i in range(8)]
-
-
-def test_batch_empty_and_bad_parallelism(chat_server):
-    client = LLMClient(backend="http", base_url=chat_server.base_url)
-    assert client.complete_batch([], parallelism=3) == []
-    with pytest.raises(ValueError):
-        client.complete_batch([user_request("x")], parallelism=0)
-
-
-def test_batch_reports_per_slot_failures(tmp_path, no_network):
-    cache = ReplayCache(tmp_path / "cache.jsonl")
-    reqs = [user_request(f"q{i}") for i in range(5)]
-    for i, req in enumerate(reqs):
-        if i != 3:
-            cache.put(req.request_key, f"a{i}", "stop")
-    client = LLMClient(backend="replay", cache_path=tmp_path / "cache.jsonl")
-    responses = client.complete_batch(reqs, parallelism=2)
-    assert [r.text for r in responses] == ["a0", "a1", "a2", "", "a4"]
-    assert responses[3].finish_reason == "error"
-    assert reqs[3].request_key in responses[3].error
-    assert all(r.finish_reason == "stop" for i, r in enumerate(responses) if i != 3)
-
-
-def test_batch_respects_parallelism_bound(chat_server):
-    in_flight = {"now": 0, "max": 0}
-    lock = threading.Lock()
-
-    def slow(payload):
-        with lock:
-            in_flight["now"] += 1
-            in_flight["max"] = max(in_flight["max"], in_flight["now"])
-        time.sleep(0.05)
-        with lock:
-            in_flight["now"] -= 1
-        return 200, completion("ok")
-
-    chat_server.responder = slow
-    client = LLMClient(backend="http", base_url=chat_server.base_url)
-    client.complete_batch([user_request(f"r{i}") for i in range(6)], parallelism=2)
-    assert in_flight["max"] <= 2
 
 
 def test_chat_response_shape():
