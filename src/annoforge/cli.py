@@ -167,8 +167,8 @@ def validate_cmd(ctx, dataset_path, grounding, out_path):
 
 @main.command()
 @click.argument("dataset_path", required=False, type=click.Path())
-@click.option("--top", "k", type=int, default=10, show_default=True,
-              help="Rows in the top/bottom label tables.")
+@click.option("--top", "k", type=click.IntRange(min=1), default=10,
+              show_default=True, help="Rows in the top/bottom label tables.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.pass_context
 @guarded

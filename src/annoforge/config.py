@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .corpus import Document, load_corpus, sample_corpus
 from .llm import BACKENDS, GenerationParams, LLMClient
 from .pipeline import STAGES, PromptTemplate, default_templates, load_template
@@ -84,6 +82,8 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    import yaml  # here, not at the top: only --config needs it
+
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))

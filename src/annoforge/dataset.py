@@ -117,12 +117,10 @@ def append_records(records: list[DatasetRecord], path: str | Path) -> None:
             fh.write(_record_line(record) + "\n")
 
 
-def read_dataset(path: str | Path, tolerant: bool = False) -> list[DatasetRecord]:
+def read_dataset(path: str | Path) -> list[DatasetRecord]:
     """Read a dataset file back into records.
 
-    A corrupt record line raises with its location unless ``tolerant`` is
-    set, in which case it is logged and skipped. A bad header is always
-    fatal.
+    A corrupt record line or a bad header raises ``ValueError`` naming the file.
     """
     path = Path(path)
     records = []
@@ -143,9 +141,7 @@ def read_dataset(path: str | Path, tolerant: bool = False) -> list[DatasetRecord
             try:
                 records.append(record_from_dict(json.loads(line)))
             except (ValueError, KeyError, TypeError) as exc:
-                if not tolerant:
-                    raise ValueError(f"{path}:{lineno}: corrupt record ({exc})") from exc
-                log.warning("%s:%d: skipping corrupt record (%s)", path, lineno, exc)
+                raise ValueError(f"{path}:{lineno}: corrupt record ({exc})") from exc
         if not header_seen:
             raise ValueError(f"{path}: missing dataset header")
     return records

@@ -2,6 +2,8 @@
 
 A retryable HTTP reply (429 or 5xx) is retried after its ``Retry-After`` delay
 (capped at the timeout); without a usable one, after ``backoff_base * 2**(n-1)``.
+``requests`` is imported by the first HTTP call, not with this module, so the
+replay backend and the offline commands never load it.
 
 Three backends share one interface:
 
@@ -26,8 +28,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -214,6 +218,8 @@ class LLMClient:
         return response
 
     def _http_call(self, request: ChatRequest) -> ChatResponse:
+        import requests
+
         body = {
             "model": request.params.model_name,
             "messages": [{"role": m.role, "content": m.content}

@@ -320,14 +320,12 @@ class _Cursor:
         return m.group(0)
 
 
-def parse_instances(text: str, schema: Schema | None = None, doc_id: str = "") -> InstanceSet:
+def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
     """Parse the first bracketed instance list found in ``text``.
 
-    Prose before and after the list is ignored. ``schema`` is accepted for
-    interface symmetry but not consulted; binding instances to a schema is
-    the validator's job.
+    Prose before and after the list is ignored. Binding instances to a
+    schema is the validator's job.
     """
-    del schema
     start = text.find("[")
     if start < 0:
         raise ParseError(1, 1, "no list literal found")

@@ -272,7 +272,7 @@ def stage_instances(doc: Document, record: StructuredRecord, schema: Schema,
                          structured_json=structured_to_json(record),
                          guidelines=print_guidelines(schema))
     return _ask(client, prompt,
-                lambda text: parse_instances(text, schema=schema, doc_id=doc.doc_id),
+                lambda text: parse_instances(text, doc_id=doc.doc_id),
                 doc.doc_id, "instances", trail)
 
 

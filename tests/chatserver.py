@@ -57,6 +57,9 @@ class ChatServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def start(self):
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # shutdown() waits for the serve loop's next poll; the default 0.5 s
+        # poll would make every test that uses the server wait that long
+        thread = threading.Thread(target=self.serve_forever, args=(0.05,),
+                                  daemon=True)
         thread.start()
         return self

@@ -1,13 +1,18 @@
 """End-to-end command tests against the committed replay fixtures."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import annoforge
 from annoforge.cli import main
+from annoforge.llm import ReplayCache, user_request
 
 DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "config.yaml"
@@ -184,6 +189,13 @@ def test_stats_json(runner):
     assert len(payload["top"]) == 3
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_stats_top_below_one_is_usage_error(runner, top):
+    result = invoke(runner, "stats", GOLDEN_DATASET, "--top", top)
+    assert result.exit_code == 2
+    assert "--top" in result.stderr
+
+
 def test_stats_via_output_dir(runner, tmp_path):
     generate_into(runner, tmp_path)
     result = invoke(runner, "--output-dir", tmp_path, "stats")
@@ -313,3 +325,31 @@ def test_help_lists_all_commands(runner):
     result = invoke(runner, "--help")
     for command in ("generate", "validate", "stats", "overlap", "emit-train", "eval"):
         assert command in result.output
+
+
+OFFLINE_RUN = """
+import sys
+import annoforge.cli
+from annoforge.dataset import compute_stats, read_dataset
+from annoforge.llm import LLMClient, user_request
+
+dataset, cache, prompt = sys.argv[1:]
+assert compute_stats(read_dataset(dataset)).n_docs == 5
+client = LLMClient(backend="replay", cache_path=cache)
+assert client.complete(user_request(prompt)).text == "cached"
+print(sorted(name for name in ("requests", "yaml") if name in sys.modules))
+"""
+
+
+def test_offline_commands_load_neither_requests_nor_yaml(tmp_path):
+    """Start-up cost: only an HTTP call imports requests, only --config yaml."""
+    cache = tmp_path / "cache.jsonl"
+    ReplayCache(cache).put(user_request("hello").request_key, "cached", "stop")
+    src = str(Path(annoforge.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", OFFLINE_RUN, str(GOLDEN_DATASET), str(cache), "hello"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

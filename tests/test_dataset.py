@@ -60,7 +60,7 @@ def test_read_rejects_bad_headers(tmp_path):
         read_dataset(path)
 
 
-def test_read_corrupt_line_strict_and_tolerant(tmp_path, caplog):
+def test_read_corrupt_line_raises(tmp_path):
     records = make_records()
     path = tmp_path / "d.jsonl"
     write_dataset(records, path)
@@ -70,11 +70,6 @@ def test_read_corrupt_line_strict_and_tolerant(tmp_path, caplog):
 
     with pytest.raises(ValueError, match=r"d\.jsonl:2: corrupt record"):
         read_dataset(path)
-
-    with caplog.at_level(logging.WARNING, logger="annoforge.dataset"):
-        loaded = read_dataset(path, tolerant=True)
-    assert [r.doc_id for r in loaded] == ["city-01"]
-    assert any(":2: skipping corrupt record" in m for m in caplog.messages)
 
 
 def test_append_records(tmp_path):
