@@ -81,6 +81,15 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _convert(kind: type, value, key: str):
+    """``value`` as an int or float; a value that is neither names its key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+
+
 def load_config(path: str | Path) -> RunConfig:
     import yaml  # here, not at the top: only --config needs it
 
@@ -111,10 +120,11 @@ def load_config(path: str | Path) -> RunConfig:
 
     sample = raw.get("sample") or {}
     _check_keys(sample, _SAMPLE_KEYS, "sample")
-    cfg.sample_n = sample.get("n")
-    cfg.sample_seed = int(sample.get("seed", 0))
-    if cfg.sample_n is not None and int(cfg.sample_n) < 1:
-        raise ConfigError("sample n must be >= 1")
+    if sample.get("n") is not None:
+        cfg.sample_n = _convert(int, sample["n"], "sample.n")
+        if cfg.sample_n < 1:
+            raise ConfigError("sample n must be >= 1")
+    cfg.sample_seed = _convert(int, sample.get("seed", 0), "sample.seed")
 
     templates = raw.get("templates") or {}
     _check_keys(templates, set(STAGES), "templates")
@@ -132,10 +142,13 @@ def load_config(path: str | Path) -> RunConfig:
     if client.get("cache") is not None:
         cfg.cache_path = resolve(client["cache"])
     cfg.model_name = str(client.get("model", cfg.model_name))
-    cfg.temperature = float(client.get("temperature", cfg.temperature))
-    cfg.top_p = float(client.get("top_p", cfg.top_p))
-    cfg.max_new_tokens = int(client.get("max_new_tokens", cfg.max_new_tokens))
-    cfg.parallelism = int(client.get("parallelism", cfg.parallelism))
+    cfg.temperature = _convert(float, client.get("temperature", cfg.temperature),
+                               "client.temperature")
+    cfg.top_p = _convert(float, client.get("top_p", cfg.top_p), "client.top_p")
+    cfg.max_new_tokens = _convert(int, client.get("max_new_tokens", cfg.max_new_tokens),
+                                  "client.max_new_tokens")
+    cfg.parallelism = _convert(int, client.get("parallelism", cfg.parallelism),
+                               "client.parallelism")
     if cfg.parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
 
@@ -146,7 +159,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"unknown grounding policy {cfg.grounding!r}")
     cfg.keep_empty = bool(pipeline.get("keep_empty", cfg.keep_empty))
     if pipeline.get("max_doc_chars") is not None:
-        cfg.max_doc_chars = int(pipeline["max_doc_chars"])
+        cfg.max_doc_chars = _convert(int, pipeline["max_doc_chars"], "pipeline.max_doc_chars")
         if cfg.max_doc_chars < 1:
             raise ConfigError("max_doc_chars must be >= 1")
 
@@ -179,6 +192,6 @@ def load_docs(cfg: RunConfig, seed: int | None = None) -> list[Document]:
         raise ConfigError(f"corpus not found: {cfg.corpus_path}")
     docs = load_corpus(cfg.corpus_path, cfg.corpus_format)
     if cfg.sample_n is not None:
-        docs = sample_corpus(docs, int(cfg.sample_n),
+        docs = sample_corpus(docs, cfg.sample_n,
                              cfg.sample_seed if seed is None else seed)
     return docs

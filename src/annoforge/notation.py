@@ -31,23 +31,46 @@ Grammar, informally::
 
 Strings accept both quote characters and the escapes \\ \" \' \n \t.
 The instance parser tolerates surrounding prose: it locates the first
-bracketed list in the input and ignores everything outside it.
+bracketed list in the input and ignores everything outside it. It reads the
+list by whole tokens (a call head ``Name(``, a keyword head ``name=``, a
+string literal, a run of whitespace), so its cost is a few regex matches
+per keyword argument. Input that ends where a call, a keyword or a value
+should start, as a truncated model output does (``[A(x="1", ``, ``[A(``,
+``[A(x=``, ``[A(x=[``), raises "unterminated instance list" located at the
+end of the input.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TEXT = "text"
 TEXT_LIST = "text_list"
 
-_NAME_RE = re.compile(r"[A-Za-z_]\w*")
+_NAME = r"[A-Za-z_]\w*"
+_NAME_RE = re.compile(_NAME)
 _CLASS_RE = re.compile(r"class\s+([A-Za-z_]\w*)\s*:\s*$")
 _FIELD_RE = re.compile(r"([A-Za-z_]\w*)\s*:\s*(.+?)\s*$")
 
+# Instance-notation tokens. Whitespace is exactly " \t\r\n"; a string stops
+# at its closing quote, and a newline or an unknown escape leaves it unmatched
+# so the error path can say which.
+_WS = r"[ \t\r\n]*"
+_DOUBLE_BODY = r'''[^"\\\n]*(?:\\["'\\nt][^"\\\n]*)*'''
+_SINGLE_BODY = r"""[^'\\\n]*(?:\\["'\\nt][^'\\\n]*)*"""
+_STRING = rf"""(?:"({_DOUBLE_BODY})"|'({_SINGLE_BODY})')"""
+_WS_RE = re.compile(_WS)
+_DOUBLE_BODY_RE = re.compile(_DOUBLE_BODY)
+_SINGLE_BODY_RE = re.compile(_SINGLE_BODY)
+_STRING_RE = re.compile(_STRING)
+_CALL_HEAD_RE = re.compile(rf"({_NAME}){_WS}\({_WS}")
+_KW_HEAD_RE = re.compile(rf"({_NAME}){_WS}={_WS}")
+# the common ``name="text",`` in one match: head, string, separator
+_KW_STRING_RE = re.compile(rf"({_NAME}){_WS}={_WS}{_STRING}{_WS}(?:(,){_WS})?")
+_ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "'": "'", "\\": "\\", "n": "\n", "t": "\t"}
-_QUOTE_MAP = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+_QUOTE_TABLE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
 
 
 class ParseError(ValueError):
@@ -85,7 +108,6 @@ class Schema:
     """Ordered entity classes parsed from one guideline text."""
 
     classes: list[EntityClass]
-    source_text: str = field(default="", compare=False, repr=False)
 
     def class_map(self) -> dict[str, EntityClass]:
         return {c.name: c for c in self.classes}
@@ -95,7 +117,6 @@ class Schema:
 class EntityInstance:
     class_name: str
     assignments: dict[str, str | list[str]]
-    source_offset: int = field(default=-1, compare=False)
 
 
 @dataclass
@@ -104,7 +125,6 @@ class InstanceSet:
 
     doc_id: str
     instances: list[EntityInstance]
-    source_text: str = field(default="", compare=False, repr=False)
 
 
 def _indent_width(line: str) -> int:
@@ -146,7 +166,7 @@ def parse_guidelines(text: str) -> Schema:
         classes.append(cls)
     if not classes:
         raise ParseError(1, 1, "no classes found")
-    return Schema(classes=classes, source_text=text)
+    return Schema(classes=classes)
 
 
 def _parse_class_body(lines: list[str], i: int, name: str) -> tuple[EntityClass, int]:
@@ -287,39 +307,6 @@ def _check_schema(schema: Schema) -> None:
                 raise ValueError(f"field {cls.name}.{f.name} needs a one-line comment")
 
 
-class _Cursor:
-    """Character cursor over the raw response text, tracking offsets for errors."""
-
-    def __init__(self, text: str, pos: int) -> None:
-        self.text = text
-        self.pos = pos
-
-    def error(self, message: str, at: int | None = None) -> ParseError:
-        off = self.pos if at is None else at
-        line = self.text.count("\n", 0, off) + 1
-        col = off - self.text.rfind("\n", 0, off)
-        return ParseError(line, col, message)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str, what: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {what}")
-        self.pos += 1
-
-    def take_name(self) -> str:
-        m = _NAME_RE.match(self.text, self.pos)
-        if m is None:
-            raise self.error("expected an identifier")
-        self.pos = m.end()
-        return m.group(0)
-
-
 def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
     """Parse the first bracketed instance list found in ``text``.
 
@@ -329,113 +316,110 @@ def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
     start = text.find("[")
     if start < 0:
         raise ParseError(1, 1, "no list literal found")
-    cur = _Cursor(text, start)
-    cur.expect("[", "'['")
+    pos = _WS_RE.match(text, start + 1).end()
     instances: list[EntityInstance] = []
-    cur.skip_ws()
-    while cur.peek() != "]":
-        if not cur.peek():
-            raise cur.error("unterminated instance list")
-        instances.append(_parse_call(cur))
-        cur.skip_ws()
-        if cur.peek() == ",":
-            cur.pos += 1
-            cur.skip_ws()
-        elif cur.peek() != "]":
-            raise cur.error("expected ',' or ']'")
-    cur.pos += 1
-    return InstanceSet(doc_id=doc_id, instances=instances,
-                       source_text=text[start:cur.pos])
-
-
-def _parse_call(cur: _Cursor) -> EntityInstance:
-    offset = cur.pos
-    if not (cur.peek().isalpha() or cur.peek() == "_"):
-        raise cur.error("expected an instance call")
-    name = cur.take_name()
-    cur.skip_ws()
-    cur.expect("(", "'(' after class name")
-    assignments: dict[str, str | list[str]] = {}
-    cur.skip_ws()
-    if cur.peek() == ")":
-        raise cur.error("expected at least one keyword argument")
-    while True:
-        _parse_kw(cur, assignments)
-        cur.skip_ws()
-        if cur.peek() == ",":
-            cur.pos += 1
-            cur.skip_ws()
-        elif cur.peek() == ")":
-            break
-        else:
-            raise cur.error("expected ',' or ')'")
-    cur.pos += 1
-    return EntityInstance(class_name=name, assignments=assignments, source_offset=offset)
-
-
-def _parse_kw(cur: _Cursor, assignments: dict[str, str | list[str]]) -> None:
-    at = cur.pos
-    c = cur.peek()
-    if c in "\"'[" or c.isdigit():
-        raise cur.error("positional arguments are not allowed")
-    if not (c.isalpha() or c == "_"):
-        raise cur.error("expected a keyword argument")
-    key = cur.take_name()
-    cur.skip_ws()
-    if cur.peek() != "=":
-        raise cur.error("non-literal value (expected 'name=value')", at=at)
-    cur.pos += 1
-    cur.skip_ws()
-    if key in assignments:
-        raise cur.error(f"duplicate keyword {key!r}", at=at)
-    assignments[key] = _parse_value(cur)
-
-
-def _parse_value(cur: _Cursor) -> str | list[str]:
-    c = cur.peek()
-    if c in "\"'":
-        return _parse_string(cur)
-    if c == "[":
-        cur.pos += 1
-        cur.skip_ws()
-        items: list[str] = []
+    while not text.startswith("]", pos):
+        head = _CALL_HEAD_RE.match(text, pos)
+        if head is None:
+            raise _head_error(text, pos, keyword=False)
+        pos = head.end()
+        if text.startswith(")", pos):
+            raise _error(text, pos, "expected at least one keyword argument")
+        assignments: dict[str, str | list[str]] = {}
         while True:
-            if cur.peek() not in "\"'":
-                raise cur.error("expected a string literal in list value")
-            items.append(_parse_string(cur))
-            cur.skip_ws()
-            if cur.peek() == ",":
-                cur.pos += 1
-                cur.skip_ws()
-            elif cur.peek() == "]":
-                cur.pos += 1
-                return items
+            kw = _KW_STRING_RE.match(text, pos) or _KW_HEAD_RE.match(text, pos)
+            if kw is None:
+                raise _head_error(text, pos, keyword=True)
+            key = kw.group(1)
+            if key in assignments:
+                raise _error(text, pos, f"duplicate keyword {key!r}")
+            if kw.re is _KW_STRING_RE:
+                _, double, single, comma = kw.groups()
+                value = _unescape(double if double is not None else single)
+                pos = kw.end()
             else:
-                raise cur.error("expected ',' or ']' in list value")
-    raise cur.error("non-literal value (expected a string or list of strings)")
+                value, pos = _parse_value(text, kw.end())
+                pos = _WS_RE.match(text, pos).end()
+                comma = text.startswith(",", pos)
+                if comma:
+                    pos = _WS_RE.match(text, pos + 1).end()
+            assignments[key] = value
+            if comma:
+                continue
+            if text.startswith(")", pos):
+                break
+            raise _error(text, pos, "expected ',' or ')'")
+        instances.append(EntityInstance(class_name=head.group(1), assignments=assignments))
+        pos = _WS_RE.match(text, pos + 1).end()
+        if text.startswith(",", pos):
+            pos = _WS_RE.match(text, pos + 1).end()
+        elif not text.startswith("]", pos):
+            raise _error(text, pos, "expected ',' or ']'")
+    return InstanceSet(doc_id=doc_id, instances=instances)
 
 
-def _parse_string(cur: _Cursor) -> str:
-    opening = cur.pos
-    quote = cur.peek()
-    cur.pos += 1
-    out: list[str] = []
+def _parse_value(text: str, pos: int) -> tuple[str | list[str], int]:
+    """The string or list-of-strings literal at ``pos``, and the offset after it."""
+    if not text.startswith("[", pos):
+        return _parse_string(text, pos,
+                             "non-literal value (expected a string or list of strings)")
+    pos = _WS_RE.match(text, pos + 1).end()
+    items: list[str] = []
     while True:
-        if cur.pos >= len(cur.text) or cur.text[cur.pos] == "\n":
-            raise cur.error("unterminated string literal", at=opening)
-        c = cur.text[cur.pos]
-        if c == "\\":
-            esc = cur.text[cur.pos + 1:cur.pos + 2]
-            if esc not in _ESCAPES:
-                raise cur.error(f"unsupported escape '\\{esc}'")
-            out.append(_ESCAPES[esc])
-            cur.pos += 2
-        elif c == quote:
-            cur.pos += 1
-            return "".join(out)
+        item, pos = _parse_string(text, pos, "expected a string literal in list value")
+        items.append(item)
+        pos = _WS_RE.match(text, pos).end()
+        if text.startswith(",", pos):
+            pos = _WS_RE.match(text, pos + 1).end()
+        elif text.startswith("]", pos):
+            return items, pos + 1
         else:
-            out.append(c)
-            cur.pos += 1
+            raise _error(text, pos, "expected ',' or ']' in list value")
+
+
+def _parse_string(text: str, pos: int, expected: str) -> tuple[str, int]:
+    m = _STRING_RE.match(text, pos)
+    if m is not None:
+        return _unescape(m.group(m.lastindex)), m.end()
+    quote = text[pos:pos + 1]
+    if not quote:
+        raise _error(text, pos, "unterminated instance list")
+    if quote not in "\"'":
+        raise _error(text, pos, expected)
+    stop = (_DOUBLE_BODY_RE if quote == '"' else _SINGLE_BODY_RE).match(text, pos + 1).end()
+    if text.startswith("\\", stop):
+        raise _error(text, stop, f"unsupported escape '\\{text[stop + 1:stop + 2]}'")
+    raise _error(text, pos, "unterminated string literal")
+
+
+def _head_error(text: str, pos: int, keyword: bool) -> ParseError:
+    """Why no call head (``Name(``) or keyword head (``name=``) starts at ``pos``."""
+    c = text[pos:pos + 1]
+    if not c:
+        return _error(text, pos, "unterminated instance list")
+    if keyword and (c in "\"'[" or c.isdigit()):
+        return _error(text, pos, "positional arguments are not allowed")
+    if not (c.isalpha() or c == "_"):
+        return _error(text, pos, "expected a keyword argument" if keyword
+                      else "expected an instance call")
+    name = _NAME_RE.match(text, pos)
+    if name is None:
+        return _error(text, pos, "expected an identifier")
+    if keyword:
+        return _error(text, pos, "non-literal value (expected 'name=value')")
+    return _error(text, _WS_RE.match(text, name.end()).end(),
+                  "expected '(' after class name")
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(line, offset - text.rfind("\n", 0, offset), message)
+
+
+def _unescape(body: str) -> str:
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(1)], body)
 
 
 def print_instances(instance_set: InstanceSet) -> str:
@@ -464,4 +448,4 @@ def _format_value(value: str | list[str]) -> str:
 
 
 def _quote(value: str) -> str:
-    return '"' + "".join(_QUOTE_MAP.get(c, c) for c in value) + '"'
+    return '"' + value.translate(_QUOTE_TABLE) + '"'

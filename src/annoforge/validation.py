@@ -119,5 +119,4 @@ def filter_instances(instance_set: InstanceSet, schema: Schema, document: str,
     errors = validate(instance_set, schema, document, grounding=grounding)
     flagged = {e.instance_index for e in errors}
     kept = [inst for i, inst in enumerate(instance_set.instances) if i not in flagged]
-    return InstanceSet(doc_id=instance_set.doc_id, instances=kept,
-                       source_text=instance_set.source_text), errors
+    return InstanceSet(doc_id=instance_set.doc_id, instances=kept), errors

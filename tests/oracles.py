@@ -1,11 +1,16 @@
-"""Reference scorers used to cross-check the fast implementations.
+"""Reference implementations used to cross-check the fast ones.
 
-Deliberately independent of the package internals: matching is decided by
-trying every pred-gold pairing (branch and bound over assignments) instead
-of counter arithmetic.
+Deliberately independent of the package internals. The scorers decide
+matching by trying every pred-gold pairing (branch and bound over
+assignments) instead of counter arithmetic. The instance parser walks the
+text one character at a time; only its result types come from the package.
 """
 
 from __future__ import annotations
+
+import re
+
+from annoforge.notation import EntityInstance, InstanceSet, ParseError
 
 
 def _norm(s: str) -> str:
@@ -66,3 +71,160 @@ def oracle_label_counts(golds, preds, label: str,
         total_gold += len(gold_mentions)
         total_pred += len(pred_mentions)
     return tp, total_pred - tp, total_gold - tp
+
+
+# -- instance notation, one character at a time ---------------------------------
+
+_NAME_RE = re.compile(r"[A-Za-z_]\w*")
+_ESCAPES = {'"': '"', "'": "'", "\\": "\\", "n": "\n", "t": "\t"}
+
+
+class _Cursor:
+    """Character cursor over the raw response text, tracking offsets for errors."""
+
+    def __init__(self, text: str, pos: int) -> None:
+        self.text = text
+        self.pos = pos
+
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        off = self.pos if at is None else at
+        line = self.text.count("\n", 0, off) + 1
+        col = off - self.text.rfind("\n", 0, off)
+        return ParseError(line, col, message)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str, what: str) -> None:
+        if self.peek() != ch:
+            raise self.error(f"expected {what}")
+        self.pos += 1
+
+    def take_name(self) -> str:
+        m = _NAME_RE.match(self.text, self.pos)
+        if m is None:
+            raise self.error("expected an identifier")
+        self.pos = m.end()
+        return m.group(0)
+
+    def check_not_at_end(self) -> None:
+        if self.pos >= len(self.text):
+            raise self.error("unterminated instance list")
+
+
+def oracle_parse_instances(text: str, doc_id: str = "") -> InstanceSet:
+    """Reference for ``notation.parse_instances``: same result, same errors."""
+    start = text.find("[")
+    if start < 0:
+        raise ParseError(1, 1, "no list literal found")
+    cur = _Cursor(text, start)
+    cur.expect("[", "'['")
+    instances: list[EntityInstance] = []
+    cur.skip_ws()
+    while cur.peek() != "]":
+        cur.check_not_at_end()
+        instances.append(_parse_call(cur))
+        cur.skip_ws()
+        if cur.peek() == ",":
+            cur.pos += 1
+            cur.skip_ws()
+        elif cur.peek() != "]":
+            raise cur.error("expected ',' or ']'")
+    cur.pos += 1
+    return InstanceSet(doc_id=doc_id, instances=instances)
+
+
+def _parse_call(cur: _Cursor) -> EntityInstance:
+    if not (cur.peek().isalpha() or cur.peek() == "_"):
+        raise cur.error("expected an instance call")
+    name = cur.take_name()
+    cur.skip_ws()
+    cur.expect("(", "'(' after class name")
+    assignments: dict[str, str | list[str]] = {}
+    cur.skip_ws()
+    if cur.peek() == ")":
+        raise cur.error("expected at least one keyword argument")
+    while True:
+        _parse_kw(cur, assignments)
+        cur.skip_ws()
+        if cur.peek() == ",":
+            cur.pos += 1
+            cur.skip_ws()
+        elif cur.peek() == ")":
+            break
+        else:
+            raise cur.error("expected ',' or ')'")
+    cur.pos += 1
+    return EntityInstance(class_name=name, assignments=assignments)
+
+
+def _parse_kw(cur: _Cursor, assignments: dict[str, str | list[str]]) -> None:
+    at = cur.pos
+    cur.check_not_at_end()
+    c = cur.peek()
+    if c in "\"'[" or c.isdigit():
+        raise cur.error("positional arguments are not allowed")
+    if not (c.isalpha() or c == "_"):
+        raise cur.error("expected a keyword argument")
+    key = cur.take_name()
+    cur.skip_ws()
+    if cur.peek() != "=":
+        raise cur.error("non-literal value (expected 'name=value')", at=at)
+    cur.pos += 1
+    cur.skip_ws()
+    if key in assignments:
+        raise cur.error(f"duplicate keyword {key!r}", at=at)
+    assignments[key] = _parse_value(cur)
+
+
+def _parse_value(cur: _Cursor) -> str | list[str]:
+    cur.check_not_at_end()
+    c = cur.peek()
+    if c in "\"'":
+        return _parse_string(cur)
+    if c == "[":
+        cur.pos += 1
+        cur.skip_ws()
+        items: list[str] = []
+        while True:
+            cur.check_not_at_end()
+            if cur.peek() not in "\"'":
+                raise cur.error("expected a string literal in list value")
+            items.append(_parse_string(cur))
+            cur.skip_ws()
+            if cur.peek() == ",":
+                cur.pos += 1
+                cur.skip_ws()
+            elif cur.peek() == "]":
+                cur.pos += 1
+                return items
+            else:
+                raise cur.error("expected ',' or ']' in list value")
+    raise cur.error("non-literal value (expected a string or list of strings)")
+
+
+def _parse_string(cur: _Cursor) -> str:
+    opening = cur.pos
+    quote = cur.peek()
+    cur.pos += 1
+    out: list[str] = []
+    while True:
+        if cur.pos >= len(cur.text) or cur.text[cur.pos] == "\n":
+            raise cur.error("unterminated string literal", at=opening)
+        c = cur.text[cur.pos]
+        if c == "\\":
+            esc = cur.text[cur.pos + 1:cur.pos + 2]
+            if esc not in _ESCAPES:
+                raise cur.error(f"unsupported escape '\\{esc}'")
+            out.append(_ESCAPES[esc])
+            cur.pos += 2
+        elif c == quote:
+            cur.pos += 1
+            return "".join(out)
+        else:
+            out.append(c)
+            cur.pos += 1

@@ -1,5 +1,6 @@
 """Tests for YAML run configuration loading and object construction."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,20 @@ def test_credentials_rejected_at_top_level_too(tmp_path):
 ])
 def test_invalid_values_rejected(tmp_path, snippet, message):
     with pytest.raises(ConfigError, match=message):
+        load_config(write_cfg(tmp_path, snippet + "\n"))
+
+
+@pytest.mark.parametrize("snippet,message", [
+    ("client: {temperature: hot}", "client.temperature must be a number, got 'hot'"),
+    ("client: {top_p: [0.5]}", "client.top_p must be a number"),
+    ("client: {max_new_tokens: lots}", "client.max_new_tokens must be an integer"),
+    ("client: {parallelism: two}", "client.parallelism must be an integer"),
+    ("pipeline: {max_doc_chars: 1e3}", "pipeline.max_doc_chars must be an integer"),
+    ("sample: {n: many}", "sample.n must be an integer, got 'many'"),
+    ("sample: {seed: abc}", "sample.seed must be an integer"),
+])
+def test_non_numeric_values_name_their_key(tmp_path, snippet, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(write_cfg(tmp_path, snippet + "\n"))
 
 

@@ -18,6 +18,7 @@ from annoforge.notation import (
     print_guidelines,
     print_instances,
 )
+from oracles import oracle_parse_instances
 
 GUIDELINES = '''@dataclass
 class Framework:
@@ -39,7 +40,6 @@ def test_parse_guidelines_structure():
         ("aliases", TEXT_LIST, True),
     ]
     assert cls.fields[0].comment == "the framework name as it appears in the text"
-    assert schema.source_text == GUIDELINES
 
 
 def test_print_guidelines_canonical_form():
@@ -182,15 +182,6 @@ def test_parse_instances_ignores_surrounding_prose():
     text = "Sure, here are the annotations:\n\n" + INSTANCES + "\n\nLet me know if you need more."
     iset = parse_instances(text)
     assert len(iset.instances) == 2
-    assert iset.source_text == INSTANCES
-
-
-def test_source_offset_points_at_call():
-    text = "prefix [A(x=\"1\"),\n  B(y=\"2\")] suffix"
-    iset = parse_instances(text)
-    offsets = [i.source_offset for i in iset.instances]
-    assert [text[o] for o in offsets] == ["A", "B"]
-    assert text[offsets[1]:offsets[1] + 8] == 'B(y="2")'
 
 
 def test_parse_instances_tolerant_syntax():
@@ -252,11 +243,18 @@ def test_equality_ignores_source_info():
     ('[Framework(name=["a",])]', "expected a string literal in list value"),
     ('[Framework(name=["a" "b"])]', "expected ',' or ']' in list value"),
     ("[A(x=\"1\") B(y=\"2\")]", "expected ',' or ']'"),
+    # truncated output: the input ends where a keyword or a value should start
+    ('[A(x="1", ', "unterminated instance list"),
+    ("[A(", "unterminated instance list"),
+    ("[A(x=", "unterminated instance list"),
+    ("[A(x=[", "unterminated instance list"),
 ])
 def test_instance_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_instances(text)
     assert fragment in str(exc.value)
+    if fragment == "unterminated instance list":
+        assert (exc.value.line, exc.value.col) == (1, len(text) + 1)
 
 
 def test_instance_error_location_is_line_and_column():
@@ -352,3 +350,78 @@ def test_schema_round_trip_property(schema):
 @given(instance_sets())
 def test_instance_round_trip_property(iset):
     assert parse_instances(print_instances(iset), doc_id="d") == iset
+
+
+# -- differential test against the reference parser ----------------------------
+
+# Layout and literal contents come from one binary draw each, mapped onto a
+# small alphabet: per-character draws would make generation the test's cost.
+LAYOUT = ["", "", "", " ", "  ", "\n", "\t", "\r\n", "\n    "]
+LITERAL_CHARS = "ab \\\n\t\"'\u00e9\r,=)]"
+EDIT_CHARS = list("[]()\"'\\=,") + ["\n", "\t", "\u00e9", "0", "7"]
+literal_bytes = st.binary(min_size=1, max_size=9)
+short_names = st.sampled_from(["A", "Foo", "_k", "x9", "B\u00e9", "name"])
+
+
+def string_literal(data: bytes) -> str:
+    """A quoted literal: the first byte picks the quote style and whether the
+    optional escapes are used, the rest picks the characters."""
+    quote, other = ("\"", "'") if data[0] % 2 else ("'", "\"")
+    escapes = {"\\": "\\\\", "\n": "\\n", quote: "\\" + quote}
+    if data[0] % 4 >= 2:
+        escapes.update({"\t": "\\t", other: "\\" + other})
+    value = (LITERAL_CHARS[b % len(LITERAL_CHARS)] for b in data[1:])
+    return quote + "".join(escapes.get(c, c) for c in value) + quote
+
+
+@st.composite
+def notation_texts(draw):
+    """Instance notation with free layout between tokens, prose, trailing commas
+    and a few one-character edits."""
+    seps = iter([LAYOUT[b % len(LAYOUT)] for b in draw(st.binary(max_size=96))])
+    ws = lambda: next(seps, "")  # noqa: E731
+    calls = []
+    for _ in range(draw(st.integers(0, 4))):
+        keys = draw(st.lists(short_names, min_size=1, max_size=3, unique=True))
+        if draw(st.integers(0, 9)) == 0:
+            keys.append(keys[0])
+        kws = []
+        for key in keys:
+            if draw(st.booleans()):
+                items = [string_literal(draw(literal_bytes))
+                         for _ in range(draw(st.integers(1, 3)))]
+                value = "[" + ws() + (ws() + "," + ws()).join(items) + ws() + "]"
+            else:
+                value = string_literal(draw(literal_bytes))
+            kws.append(key + ws() + "=" + ws() + value)
+        calls.append(draw(short_names) + ws() + "(" + ws() + (ws() + "," + ws()).join(kws)
+                     + ws() + ")")
+    body = (ws() + "," + ws()).join(calls)
+    if calls and draw(st.booleans()):
+        body += ws() + ","
+    prose = draw(st.sampled_from(["", "Sure: ", "Here (1):\n", "x = "]))
+    text = prose + "[" + ws() + body + ws() + "]" + draw(st.sampled_from(["", " Done.", "]"]))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        char = draw(st.sampled_from(EDIT_CHARS))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + char + text[at + 1:]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, doc_id="d")
+    except ParseError as exc:
+        return (exc.line, exc.col, exc.message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(notation_texts())
+def test_parse_instances_matches_reference_parser(text):
+    assert _outcome(parse_instances, text) == _outcome(oracle_parse_instances, text)
