@@ -82,12 +82,18 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _convert(kind: type, value, key: str):
-    """``value`` as an int or float; a value that is neither names its key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+    """``value`` as an int or float; a value that is neither names its key.
+
+    A bool is neither, and an integer key takes no float, so nothing is
+    silently truncated.
+    """
+    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{key} must be {noun}, got {value!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -157,7 +163,10 @@ def load_config(path: str | Path) -> RunConfig:
     cfg.grounding = pipeline.get("grounding", cfg.grounding)
     if cfg.grounding not in GROUNDING_POLICIES:
         raise ConfigError(f"unknown grounding policy {cfg.grounding!r}")
-    cfg.keep_empty = bool(pipeline.get("keep_empty", cfg.keep_empty))
+    cfg.keep_empty = pipeline.get("keep_empty", cfg.keep_empty)
+    if not isinstance(cfg.keep_empty, bool):
+        raise ConfigError(f"pipeline.keep_empty must be true or false, "
+                          f"got {cfg.keep_empty!r}")
     if pipeline.get("max_doc_chars") is not None:
         cfg.max_doc_chars = _convert(int, pipeline["max_doc_chars"], "pipeline.max_doc_chars")
         if cfg.max_doc_chars < 1:

@@ -1,4 +1,4 @@
-"""Loading, sampling, and describing the raw document collection.
+"""Loading and sampling the raw document collection.
 
 Documents are kept whole; no segmentation happens here. Two on-disk layouts
 are supported: a JSONL file with one ``{"id": ..., "text": ...}`` object per
@@ -9,34 +9,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-# word-count histogram buckets: (low, high) inclusive, None = unbounded
-WORD_BUCKETS = (
-    (1, 99), (100, 199), (200, 499), (500, 999), (1000, 1999),
-    (2000, 4999), (5000, 9999), (10000, 19999), (20000, 49999), (50000, None),
-)
 
 
 @dataclass
 class Document:
     doc_id: str
     text: str
-    source: str = ""
-
-    @property
-    def word_count(self) -> int:
-        return len(self.text.split())
-
-
-@dataclass
-class CorpusStats:
-    n_docs: int
-    min_words: int
-    max_words: int
-    mean_words: float
-    word_histogram: dict[str, int] = field(default_factory=dict)
 
 
 def load_corpus(path: str | Path, format: str | None = None) -> list[Document]:
@@ -79,8 +59,7 @@ def _load_jsonl(path: Path) -> list[Document]:
                 raise ValueError(f"{path}:{lineno}: record has no text")
             doc_id = record.get("id")
             doc_id = str(doc_id) if doc_id is not None else f"doc-{lineno - 1:05d}"
-            docs.append(Document(doc_id=doc_id, text=text,
-                                 source=str(record.get("source", ""))))
+            docs.append(Document(doc_id=doc_id, text=text))
     return docs
 
 
@@ -90,7 +69,7 @@ def _load_text_dir(path: Path) -> list[Document]:
         text = file.read_text(encoding="utf-8")
         if not text.strip():
             raise ValueError(f"{file}: file is empty")
-        docs.append(Document(doc_id=file.stem, text=text, source=file.name))
+        docs.append(Document(doc_id=file.stem, text=text))
     return docs
 
 
@@ -99,31 +78,3 @@ def sample_corpus(docs: list[Document], n: int, seed: int) -> list[Document]:
     if n > len(docs):
         raise ValueError(f"cannot sample {n} documents from a corpus of {len(docs)}")
     return random.Random(seed).sample(docs, n)
-
-
-def corpus_stats(docs: list[Document]) -> CorpusStats:
-    """Word-count summary of a corpus; rejects an empty corpus."""
-    if not docs:
-        raise ValueError("empty corpus")
-    counts = [d.word_count for d in docs]
-    histogram = {_bucket_label(low, high): 0 for low, high in WORD_BUCKETS}
-    for c in counts:
-        histogram[_bucket_for(c)] += 1
-    return CorpusStats(
-        n_docs=len(docs),
-        min_words=min(counts),
-        max_words=max(counts),
-        mean_words=sum(counts) / len(counts),
-        word_histogram=histogram,
-    )
-
-
-def _bucket_label(low: int, high: int | None) -> str:
-    return f"{low}-{high}" if high is not None else f"{low}+"
-
-
-def _bucket_for(count: int) -> str:
-    for low, high in WORD_BUCKETS:
-        if high is None or count <= high:
-            return _bucket_label(low, high)
-    raise AssertionError("unreachable")

@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .notation import (
     InstanceSet,
@@ -28,9 +27,6 @@ from .notation import (
     print_instances,
 )
 from .validation import validate
-
-if TYPE_CHECKING:
-    from .pipeline import StructuredRecord
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +41,7 @@ class DatasetRecord:
     doc_id: str
     document: str
     summary: str
-    structured: "StructuredRecord"
+    structured: list[dict]  # [{"label": ..., "attributes": {...}}, ...]
     guidelines_text: str  # the raw model output, verbatim
     schema: Schema
     instances: InstanceSet  # survivors of validation filtering
@@ -58,8 +54,7 @@ def record_to_dict(record: DatasetRecord) -> dict:
         "doc_id": record.doc_id,
         "document": record.document,
         "summary": record.summary,
-        "structured": [{"label": e.label, "attributes": e.attributes}
-                       for e in record.structured.entries],
+        "structured": record.structured,
         "guidelines": record.guidelines_text,
         "schema": print_guidelines(record.schema),
         "instances": print_instances(record.instances),
@@ -69,16 +64,14 @@ def record_to_dict(record: DatasetRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> DatasetRecord:
-    from .pipeline import StructuredEntry, StructuredRecord
     doc_id = data["doc_id"]
-    structured = StructuredRecord(doc_id=doc_id, entries=[
-        StructuredEntry(label=e["label"], attributes=e["attributes"])
-        for e in data["structured"]])
     return DatasetRecord(
         doc_id=doc_id,
         document=data["document"],
         summary=data["summary"],
-        structured=structured,
+        # raises KeyError or TypeError on an entry that is not a labelled object
+        structured=[{"label": e["label"], "attributes": e["attributes"]}
+                    for e in data["structured"]],
         guidelines_text=data["guidelines"],
         schema=parse_guidelines(data["schema"]),
         instances=parse_instances(data["instances"], doc_id=doc_id),
@@ -297,8 +290,7 @@ def dataset_labels(records: list[DatasetRecord]) -> set[str]:
             for inst in record.instances.instances}
 
 
-def emit_training_examples(records: list[DatasetRecord], path: str | Path,
-                           grounding: str = "normalized") -> int:
+def emit_training_examples(records: list[DatasetRecord], path: str | Path) -> int:
     """Write supervised examples: guidelines + document in, instance list out.
 
     Each record is re-validated first; a record that no longer passes is
@@ -310,7 +302,7 @@ def emit_training_examples(records: list[DatasetRecord], path: str | Path,
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             errors = validate(record.instances, record.schema, record.document,
-                              grounding=record.meta.get("grounding", grounding))
+                              grounding=record.meta.get("grounding", "normalized"))
             if errors:
                 log.warning("skipping %s: %d validation errors at emit time",
                             record.doc_id, len(errors))

@@ -67,13 +67,6 @@ class EvalResult:
 
 
 @dataclass
-class LabelRow:
-    label: str
-    result: EvalResult
-    absent: bool  # label occurs in neither golds nor predictions
-
-
-@dataclass
 class BenchmarkReport:
     per_dataset: dict[str, EvalResult]
     macro_f1: float
@@ -146,45 +139,25 @@ def score_benchmarks(suites: dict[str, tuple[list[GoldExample], list[Prediction]
     return BenchmarkReport(per_dataset=per_dataset, macro_f1=macro)
 
 
-def label_report(golds: list[GoldExample], preds: list[Prediction],
-                 labels: list[str], matching: str = "exact") -> list[LabelRow]:
-    """Per-label rows for the requested labels, in the requested order.
-
-    A label that occurs in neither golds nor predictions gets a zeroed row
-    with ``absent=True``.
-    """
-    result = score(golds, preds, matching=matching)
-    rows = []
-    for label in labels:
-        cell = result.breakdown.get(label)
-        if cell is None:
-            rows.append(LabelRow(label=label, result=EvalResult.from_counts(0, 0, 0),
-                                 absent=True))
-        else:
-            rows.append(LabelRow(label=label, result=cell, absent=False))
-    return rows
-
-
-def mentions_from_instances(instance_set: InstanceSet, schema: Schema | None = None,
-                            mention_fields: dict[str, str] | None = None) -> list[Mention]:
+def mentions_from_instances(instance_set: InstanceSet,
+                            schema: Schema | None = None) -> list[Mention]:
     """Flatten instances to (label, span) mentions.
 
-    The span comes from the instance's mention field: an explicit per-class
-    override if given, else the first declared text field of the class, else
-    the instance's first assignment. List values yield one mention per element.
+    The span comes from the instance's mention field: the first declared text
+    field of the class, else the class's first field, else (for a class the
+    schema does not declare) the instance's first assignment. List values
+    yield one mention per element.
     """
     classes = schema.class_map() if schema is not None else {}
     mentions: list[Mention] = []
     for inst in instance_set.instances:
-        fname = (mention_fields or {}).get(inst.class_name)
-        if fname is None:
-            cls = classes.get(inst.class_name)
-            if cls is not None:
-                fname = next((f.name for f in cls.fields if f.kind == TEXT),
-                             cls.fields[0].name)
-            elif inst.assignments:
-                fname = next(iter(inst.assignments))
-        value = inst.assignments.get(fname) if fname else None
+        cls = classes.get(inst.class_name)
+        if cls is not None:
+            fname = next((f.name for f in cls.fields if f.kind == TEXT),
+                         cls.fields[0].name)
+        else:
+            fname = next(iter(inst.assignments), None)
+        value = inst.assignments.get(fname)
         if value is None:
             continue
         spans = value if isinstance(value, list) else [value]
@@ -212,8 +185,7 @@ def load_gold(path: str | Path) -> list[GoldExample]:
     return examples
 
 
-def load_predictions(path: str | Path, schema: Schema | None = None,
-                     mention_fields: dict[str, str] | None = None) -> list[Prediction]:
+def load_predictions(path: str | Path, schema: Schema | None = None) -> list[Prediction]:
     """Read a prediction JSONL file.
 
     Each line carries either ``output`` (raw model text, parsed as instance
@@ -235,7 +207,7 @@ def load_predictions(path: str | Path, schema: Schema | None = None,
                 except ParseError:
                     mentions = []
                 else:
-                    mentions = mentions_from_instances(iset, schema, mention_fields)
+                    mentions = mentions_from_instances(iset, schema)
             preds.append(Prediction(example_id=eid, mentions=mentions))
     return preds
 

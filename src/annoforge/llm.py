@@ -108,17 +108,11 @@ class ChatResponse:
     text: str
     finish_reason: str  # stop | length | error
     usage: dict | None = None
-    error: str | None = None
 
 
-def user_request(content: str, params: GenerationParams | None = None,
-                 system: str | None = None) -> ChatRequest:
+def user_request(content: str, params: GenerationParams | None = None) -> ChatRequest:
     """Convenience constructor for the common single-turn request."""
-    messages = []
-    if system is not None:
-        messages.append(ChatMessage(role="system", content=system))
-    messages.append(ChatMessage(role="user", content=content))
-    return ChatRequest(messages=tuple(messages),
+    return ChatRequest(messages=(ChatMessage(role="user", content=content),),
                        params=params or GenerationParams())
 
 

@@ -61,7 +61,7 @@ class PromptTemplate:
 
     stage: str
     template_text: str
-    version: str = ""
+    version: str = field(init=False)
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
@@ -75,9 +75,8 @@ class PromptTemplate:
         for name in found:
             if name not in required:
                 raise ValueError(f"{self.stage} template must not use {{{name}}}")
-        if not self.version:
-            digest = hashlib.sha256(self.template_text.encode("utf-8")).hexdigest()
-            self.version = digest[:8]
+        digest = hashlib.sha256(self.template_text.encode("utf-8")).hexdigest()
+        self.version = digest[:8]
 
     def render(self, **bindings: str) -> str:
         required = STAGE_PLACEHOLDERS[self.stage]
@@ -108,18 +107,6 @@ class StageRecord:
     raw_response: str
     parsed_ok: bool
     attempt: int
-
-
-@dataclass
-class StructuredEntry:
-    label: str
-    attributes: dict[str, str | list[str]]
-
-
-@dataclass
-class StructuredRecord:
-    doc_id: str
-    entries: list[StructuredEntry]
 
 
 @dataclass
@@ -177,17 +164,18 @@ def strip_fences(text: str) -> str:
 
 
 def stage_summarize(doc: Document, tmpl: PromptTemplate, client: LLMClient,
-                    trail: list[StageRecord], doc_text: str | None = None) -> str:
+                    trail: list[StageRecord]) -> str:
     def parse(text: str) -> str:
         if not text.strip():
             raise ValueError("empty summary")
         return text.strip()
 
-    prompt = tmpl.render(document=doc_text if doc_text is not None else doc.text)
+    prompt = tmpl.render(document=doc.text)
     return _ask(client, prompt, parse, doc.doc_id, "summarize", trail)
 
 
-def _parse_structured(text: str, doc_id: str) -> StructuredRecord:
+def _parse_structured(text: str) -> list[dict]:
+    """Normalise the structure stage's JSON to ``[{"label", "attributes"}]``."""
     try:
         payload = json.loads(strip_fences(text).strip())
     except json.JSONDecodeError as exc:
@@ -215,10 +203,11 @@ def _parse_structured(text: str, doc_id: str) -> StructuredRecord:
         attrs: dict[str, str | list[str]] = {}
         for name, value in raw_attrs.items():
             attrs[name] = _coerce_value(label, name, value)
-        entries.append(StructuredEntry(label=label.strip(), attributes=attrs))
+        # key order is part of the rendered prompts, and so of the request keys
+        entries.append({"label": label.strip(), "attributes": attrs})
     if not entries:
         raise ValueError("empty structured record")
-    return StructuredRecord(doc_id=doc_id, entries=entries)
+    return entries
 
 
 def _coerce_value(label: str, name: str, value) -> str | list[str]:
@@ -237,39 +226,32 @@ def _coerce_value(label: str, name: str, value) -> str | list[str]:
     return scalar(value)
 
 
-def structured_to_json(record: StructuredRecord) -> str:
-    return json.dumps([{"label": e.label, "attributes": e.attributes}
-                       for e in record.entries], indent=2, ensure_ascii=False)
+def structured_to_json(structured: list[dict]) -> str:
+    return json.dumps(structured, indent=2, ensure_ascii=False)
 
 
 def stage_structure(doc: Document, summary: str, tmpl: PromptTemplate,
-                    client: LLMClient, trail: list[StageRecord],
-                    doc_text: str | None = None) -> StructuredRecord:
-    prompt = tmpl.render(document=doc_text if doc_text is not None else doc.text,
-                         summary=summary)
-    return _ask(client, prompt, lambda text: _parse_structured(text, doc.doc_id),
-                doc.doc_id, "structure", trail)
+                    client: LLMClient, trail: list[StageRecord]) -> list[dict]:
+    prompt = tmpl.render(document=doc.text, summary=summary)
+    return _ask(client, prompt, _parse_structured, doc.doc_id, "structure", trail)
 
 
-def stage_guidelines(doc: Document, summary: str, record: StructuredRecord,
+def stage_guidelines(doc: Document, summary: str, structured: list[dict],
                      tmpl: PromptTemplate, client: LLMClient,
-                     trail: list[StageRecord],
-                     doc_text: str | None = None) -> tuple[str, Schema]:
+                     trail: list[StageRecord]) -> tuple[str, Schema]:
     def parse(text: str):
         return text, parse_guidelines(strip_fences(text))
 
-    prompt = tmpl.render(document=doc_text if doc_text is not None else doc.text,
-                         summary=summary,
-                         structured_json=structured_to_json(record))
+    prompt = tmpl.render(document=doc.text, summary=summary,
+                         structured_json=structured_to_json(structured))
     return _ask(client, prompt, parse, doc.doc_id, "guidelines", trail)
 
 
-def stage_instances(doc: Document, record: StructuredRecord, schema: Schema,
+def stage_instances(doc: Document, structured: list[dict], schema: Schema,
                     tmpl: PromptTemplate, client: LLMClient,
-                    trail: list[StageRecord],
-                    doc_text: str | None = None) -> InstanceSet:
-    prompt = tmpl.render(document=doc_text if doc_text is not None else doc.text,
-                         structured_json=structured_to_json(record),
+                    trail: list[StageRecord]) -> InstanceSet:
+    prompt = tmpl.render(document=doc.text,
+                         structured_json=structured_to_json(structured),
                          guidelines=print_guidelines(schema))
     return _ask(client, prompt,
                 lambda text: parse_instances(text, doc_id=doc.doc_id),
@@ -307,22 +289,20 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
 
     def process(doc: Document):
         trail: list[StageRecord] = []
-        doc_text, truncated = truncate_document(doc.text, max_doc_chars)
+        text, truncated = truncate_document(doc.text, max_doc_chars)
+        doc = Document(doc.doc_id, text)
         try:
-            summary = stage_summarize(doc, templates["summarize"], client,
-                                      trail, doc_text)
+            summary = stage_summarize(doc, templates["summarize"], client, trail)
             structured = stage_structure(doc, summary, templates["structure"],
-                                         client, trail, doc_text)
+                                         client, trail)
             guidelines_text, schema = stage_guidelines(
-                doc, summary, structured, templates["guidelines"], client,
-                trail, doc_text)
+                doc, summary, structured, templates["guidelines"], client, trail)
             raw_instances = stage_instances(doc, structured, schema,
-                                            templates["instances"], client,
-                                            trail, doc_text)
+                                            templates["instances"], client, trail)
         except StageError as exc:
             return None, RejectEntry(doc_id=doc.doc_id, stage=exc.stage,
                                      reason=exc.reason), trail
-        kept, errors = filter_instances(raw_instances, schema, doc_text,
+        kept, errors = filter_instances(raw_instances, schema, doc.text,
                                         grounding=grounding)
         if not kept.instances and not keep_empty:
             return None, RejectEntry(
@@ -332,7 +312,7 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
                        f"{len(errors)} errors)"), trail
         record = DatasetRecord(
             doc_id=doc.doc_id,
-            document=doc_text,
+            document=doc.text,
             summary=summary,
             structured=structured,
             guidelines_text=guidelines_text,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from annoforge.corpus import Document
 from annoforge.dataset import DatasetRecord
 from annoforge.notation import parse_guidelines, parse_instances
-from annoforge.pipeline import StructuredRecord, default_templates, run_pipeline
+from annoforge.pipeline import default_templates, run_pipeline
 from scripted import GUIDELINES, INSTANCES, STRUCTURE, SUMMARIZE, ScriptedClient
 
 DOC1 = Document(doc_id="ml-01",
@@ -56,7 +56,7 @@ def stats_record(doc_id: str, labels: list[str]) -> DatasetRecord:
     calls = ", ".join(f'{label}(name="x")' for label in labels)
     return DatasetRecord(
         doc_id=doc_id, document="x", summary="s",
-        structured=StructuredRecord(doc_id=doc_id, entries=[]),
+        structured=[],
         guidelines_text="", schema=schema,
         instances=parse_instances(f"[{calls}]", doc_id=doc_id),
         validation={}, meta={"grounding": "off"})

@@ -39,8 +39,7 @@ DOCS = [
             "on CPUs, GPUs, and TPUs. PyTorch, developed by Meta, is known for "
             "dynamic computation graphs and a define-by-run style that "
             "researchers find intuitive. Both frameworks support automatic "
-            "differentiation and distributed training."),
-        source="fixture"),
+            "differentiation and distributed training.")),
     Document(
         doc_id="flu-care-002",
         text=(
@@ -48,8 +47,7 @@ DOCS = [
             "cough and a sore throat. Many patients also report muscle aches "
             "and fatigue. Physicians often prescribe oseltamivir, an antiviral "
             "manufactured by Roche, within the first 48 hours of symptom "
-            "onset. Rest and fluids remain the standard supportive care."),
-        source="fixture"),
+            "onset. Rest and fluids remain the standard supportive care.")),
     Document(
         doc_id="treaty-versailles-003",
         text=(
@@ -58,16 +56,14 @@ DOCS = [
             "and the Allied Powers. French premier Georges Clemenceau pushed "
             "for harsh reparations, while American president Woodrow Wilson "
             "promoted his Fourteen Points. The treaty established the League "
-            "of Nations, an organization intended to prevent future wars."),
-        source="fixture"),
+            "of Nations, an organization intended to prevent future wars.")),
     Document(
         doc_id="composer-clara-004",
         text=(
             "Clara Schumann was a German pianist and composer born in Leipzig "
             "in 1819. She premiered many works of her husband Robert Schumann "
             "and toured Europe for over six decades. Her Piano Concerto in A "
-            "minor, written at age fourteen, remains in the repertoire."),
-        source="fixture"),
+            "minor, written at age fourteen, remains in the repertoire.")),
     Document(
         doc_id="mooc-cs50-005",
         text=(
@@ -75,8 +71,7 @@ DOCS = [
             "science, taught by David J. Malan. The course is available free "
             "of charge on the edX platform and covers C, Python, SQL, and web "
             "development. Hundreds of thousands of learners enroll every "
-            "year."),
-        source="fixture"),
+            "year.")),
 ]
 
 RESPONSES = {
@@ -300,7 +295,7 @@ def main():
     with open(HERE / "docs.jsonl", "w", encoding="utf-8") as fh:
         for doc in DOCS:
             fh.write(json.dumps({"id": doc.doc_id, "text": doc.text,
-                                 "source": doc.source}, ensure_ascii=False) + "\n")
+                                 "source": "fixture"}, ensure_ascii=False) + "\n")
     (HERE / "config.yaml").write_text(CONFIG_YAML, encoding="utf-8")
 
     cache_path = HERE / "cache.jsonl"

@@ -152,6 +152,18 @@ def test_invalid_values_rejected(tmp_path, snippet, message):
     ("pipeline: {max_doc_chars: 1e3}", "pipeline.max_doc_chars must be an integer"),
     ("sample: {n: many}", "sample.n must be an integer, got 'many'"),
     ("sample: {seed: abc}", "sample.seed must be an integer"),
+    ('pipeline: {keep_empty: "false"}', "pipeline.keep_empty must be true or false, got 'false'"),
+    ("pipeline: {keep_empty: 0}", "pipeline.keep_empty must be true or false, got 0"),
+    ("client: {parallelism: 1.9}", "client.parallelism must be an integer, got 1.9"),
+    ("client: {max_new_tokens: 2.5}", "client.max_new_tokens must be an integer, got 2.5"),
+    ("client: {max_new_tokens: 512.0}", "client.max_new_tokens must be an integer, got 512.0"),
+    ("pipeline: {max_doc_chars: 1000.5}", "pipeline.max_doc_chars must be an integer"),
+    ("sample: {n: 2.5}", "sample.n must be an integer, got 2.5"),
+    ("sample: {seed: 1.5}", "sample.seed must be an integer, got 1.5"),
+    ("client: {parallelism: true}", "client.parallelism must be an integer, got True"),
+    ("sample: {n: true}", "sample.n must be an integer, got True"),
+    ("sample: {seed: false}", "sample.seed must be an integer, got False"),
+    ("client: {temperature: true}", "client.temperature must be a number, got True"),
 ])
 def test_non_numeric_values_name_their_key(tmp_path, snippet, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -7,7 +7,6 @@ import pytest
 
 from annoforge.corpus import (
     Document,
-    corpus_stats,
     load_corpus,
     sample_corpus,
 )
@@ -28,7 +27,6 @@ def test_load_jsonl_in_file_order(tmp_path):
     ])
     docs = load_corpus(path, format="jsonl")
     assert [d.doc_id for d in docs] == ["b", "a", "c"]
-    assert docs[0].source == "wiki"
     assert docs[1].text == "first doc"
 
 
@@ -73,7 +71,6 @@ def test_load_text_directory(tmp_path):
     docs = load_corpus(tmp_path, format="text-directory")
     assert [d.doc_id for d in docs] == ["a", "b", "c", "d", "e"]
     assert docs[0].text == "contents of a.txt"
-    assert docs[0].source == "a.txt"
 
 
 def test_load_text_directory_rejects_empty_file(tmp_path):
@@ -90,10 +87,6 @@ def test_format_inference(tmp_path):
     assert load_corpus(path)[0].doc_id == "x"
     with pytest.raises(ValueError, match="unknown corpus format"):
         load_corpus(path, format="csv")
-
-
-def test_word_count_is_whitespace_tokens():
-    assert Document(doc_id="d", text="one  two\nthree\t four ").word_count == 4
 
 
 def make_docs(n):
@@ -116,36 +109,3 @@ def test_sample_matches_golden_ids():
     expected = json.loads((DATA / "sample_seed1.json").read_text())
     picked = sample_corpus(make_docs(100), 20, seed=1)
     assert [d.doc_id for d in picked] == expected
-
-
-def test_stats_singleton():
-    stats = corpus_stats([Document(doc_id="d", text="w " * 194)])
-    assert (stats.n_docs, stats.min_words, stats.max_words, stats.mean_words) == (1, 194, 194, 194.0)
-
-
-def test_stats_hand_arithmetic():
-    docs = [Document(doc_id="a", text="w " * 100), Document(doc_id="b", text="w " * 300)]
-    stats = corpus_stats(docs)
-    assert (stats.min_words, stats.max_words, stats.mean_words) == (100, 300, 200.0)
-
-
-def test_stats_histogram_buckets():
-    docs = [
-        Document(doc_id="a", text="w " * 50),       # 1-99
-        Document(doc_id="b", text="w " * 100),      # 100-199
-        Document(doc_id="c", text="w " * 199),      # 100-199
-        Document(doc_id="d", text="w " * 22600),    # 20000-49999
-        Document(doc_id="e", text="w " * 60000),    # 50000+
-    ]
-    stats = corpus_stats(docs)
-    assert stats.word_histogram["1-99"] == 1
-    assert stats.word_histogram["100-199"] == 2
-    assert stats.word_histogram["20000-49999"] == 1
-    assert stats.word_histogram["50000+"] == 1
-    assert sum(stats.word_histogram.values()) == stats.n_docs
-    assert stats.min_words <= stats.mean_words <= stats.max_words
-
-
-def test_stats_rejects_empty_corpus():
-    with pytest.raises(ValueError, match="empty corpus"):
-        corpus_stats([])

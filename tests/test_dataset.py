@@ -72,6 +72,23 @@ def test_read_corrupt_line_raises(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("entry", [
+    {"attributes": {"name": "TensorFlow"}},  # no label
+    "Framework",                             # not an object
+])
+def test_read_corrupt_structured_entry_raises(tmp_path, entry):
+    path = tmp_path / "d.jsonl"
+    write_dataset(make_records(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    body = json.loads(lines[2])
+    body["structured"][0] = entry
+    lines[2] = json.dumps(body)
+    path.write_text("\n".join(lines) + "\n")
+
+    with pytest.raises(ValueError, match=r"d\.jsonl:3: corrupt record"):
+        read_dataset(path)
+
+
 def test_append_records(tmp_path):
     first, second = make_records()
     path = tmp_path / "d.jsonl"

@@ -64,7 +64,9 @@ def test_request_key_sensitivity():
     base = user_request("Say hi")
     assert base.request_key == user_request("Say hi").request_key
     assert base.request_key != user_request("Say hi!").request_key
-    assert base.request_key != user_request("Say hi", system="be nice").request_key
+    with_system = ChatRequest(messages=(ChatMessage(role="system", content="be nice"),
+                                        ChatMessage(role="user", content="Say hi")))
+    assert base.request_key != with_system.request_key
     assert base.request_key != \
         user_request("Say hi", params=GenerationParams(temperature=0.0)).request_key
     assert base.request_key != \
@@ -301,4 +303,4 @@ def test_malformed_response_is_an_error(chat_server):
 
 def test_chat_response_shape():
     r = ChatResponse(text="x", finish_reason="stop")
-    assert r.usage is None and r.error is None
+    assert r.usage is None

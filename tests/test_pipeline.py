@@ -137,11 +137,11 @@ def test_truncated_response_is_retried():
 def test_stage_structure_parses_fenced_json():
     client = scripted_for()
     trail = []
-    record = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
-                             client, trail)
-    assert record.doc_id == "ml-01"
-    assert [e.label for e in record.entries] == ["Framework", "Framework"]
-    assert record.entries[0].attributes == {"name": "TensorFlow", "developer": "Google"}
+    structured = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
+                                 client, trail)
+    assert [e["label"] for e in structured] == ["Framework", "Framework"]
+    assert structured[0] == {"label": "Framework",
+                             "attributes": {"name": "TensorFlow", "developer": "Google"}}
     assert SUMMARY_TEXT in trail[0].rendered_prompt
 
 
@@ -152,15 +152,15 @@ def test_stage_structure_parses_fenced_json():
 ])
 def test_stage_structure_tolerated_shapes(payload, labels):
     client = ScriptedClient().add(STRUCTURE, payload)
-    record = stage_structure(DOC, "s", default_templates()["structure"], client, [])
-    assert [e.label for e in record.entries] == labels
+    structured = stage_structure(DOC, "s", default_templates()["structure"], client, [])
+    assert [e["label"] for e in structured] == labels
 
 
 def test_stage_structure_coerces_scalars():
     client = ScriptedClient().add(
         STRUCTURE, '[{"label": "City", "attributes": {"name": "Paris", "founded": 250}}]')
-    record = stage_structure(DOC, "s", default_templates()["structure"], client, [])
-    assert record.entries[0].attributes["founded"] == "250"
+    structured = stage_structure(DOC, "s", default_templates()["structure"], client, [])
+    assert structured[0]["attributes"]["founded"] == "250"
 
 
 @pytest.mark.parametrize("payload,reason", [
@@ -182,17 +182,17 @@ def test_stage_structure_repair_loop_recovers():
     client.add((STRUCTURE, REPAIR), '[{"label": "City", "attributes": {"name": "Paris"}}]')
     client.add(STRUCTURE, "garbage")
     trail = []
-    record = stage_structure(DOC, "s", default_templates()["structure"], client, trail)
-    assert record.entries[0].label == "City"
+    structured = stage_structure(DOC, "s", default_templates()["structure"], client, trail)
+    assert structured[0]["label"] == "City"
     assert [(r.attempt, r.parsed_ok) for r in trail] == [(1, False), (2, True)]
 
 
 def test_stage_guidelines_returns_raw_text_and_schema():
     client = scripted_for()
     trail = []
-    record = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
-                             client, [])
-    raw, schema = stage_guidelines(DOC, SUMMARY_TEXT, record,
+    structured = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
+                                 client, [])
+    raw, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured,
                                    default_templates()["guidelines"], client, trail)
     assert raw == GUIDELINE_TEXT  # verbatim, fences included
     assert [c.name for c in schema.classes] == ["Framework"]
@@ -215,12 +215,12 @@ def _structured(client):
 
 def test_stage_instances_prompt_uses_canonical_guidelines():
     client = scripted_for()
-    record = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
-                             client, [])
-    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, record,
+    structured = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
+                                 client, [])
+    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured,
                                  default_templates()["guidelines"], client, [])
     trail = []
-    iset = stage_instances(DOC, record, schema, default_templates()["instances"],
+    iset = stage_instances(DOC, structured, schema, default_templates()["instances"],
                            client, trail)
     assert iset.doc_id == "ml-01"
     assert len(iset.instances) == 2
@@ -230,11 +230,11 @@ def test_stage_instances_prompt_uses_canonical_guidelines():
 def test_stage_instances_empty_list_is_valid():
     client = ScriptedClient().add(INSTANCES, "No entities apply here: []")
     schema_client = scripted_for()
-    record = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
-                             schema_client, [])
-    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, record,
+    structured = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
+                                 schema_client, [])
+    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured,
                                  default_templates()["guidelines"], schema_client, [])
-    iset = stage_instances(DOC, record, schema, default_templates()["instances"],
+    iset = stage_instances(DOC, structured, schema, default_templates()["instances"],
                            client, [])
     assert iset.instances == []
 
