@@ -29,7 +29,6 @@ from .dataset import (
 )
 from .evaluation import format_table, load_gold, load_predictions, score_benchmarks
 from .notation import parse_guidelines
-from .pipeline import run_pipeline, write_trail
 from .validation import GROUNDING_POLICIES, filter_instances
 
 log = logging.getLogger(__name__)
@@ -98,6 +97,8 @@ def _resolve_dataset(ctx, dataset_path: str | None) -> Path:
 @guarded
 def generate(ctx):
     """Run the four-stage pipeline over the corpus and write the dataset."""
+    from .pipeline import run_pipeline, write_trail  # here: only generate needs it
+
     cfg = _load_cfg(ctx)
     docs = load_docs(cfg, seed=ctx.obj.get("seed"))
     templates = build_templates(cfg)
@@ -174,7 +175,7 @@ def validate_cmd(ctx, dataset_path, grounding, out_path):
 @guarded
 def stats(ctx, dataset_path, k, as_json):
     """Label statistics over a dataset."""
-    records = read_dataset(_resolve_dataset(ctx, dataset_path))
+    records = read_dataset(_resolve_dataset(ctx, dataset_path), schema=False)
     result = compute_stats(records)
     if as_json:
         click.echo(json.dumps(result.to_dict(k), indent=2))
@@ -203,7 +204,7 @@ def stats(ctx, dataset_path, k, as_json):
 @guarded
 def overlap(ctx, dataset_path, labelspace_dir, case_insensitive, as_json):
     """Coverage of benchmark label spaces by the dataset's labels."""
-    records = read_dataset(_resolve_dataset(ctx, dataset_path))
+    records = read_dataset(_resolve_dataset(ctx, dataset_path), schema=False)
     results = compute_overlap(dataset_labels(records),
                               load_labelspaces(labelspace_dir),
                               case_insensitive=case_insensitive)

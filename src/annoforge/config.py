@@ -31,11 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import Document, load_corpus, sample_corpus
-from .llm import BACKENDS, GenerationParams, LLMClient
-from .pipeline import STAGES, PromptTemplate, default_templates, load_template
 from .validation import GROUNDING_POLICIES
+
+if TYPE_CHECKING:
+    from .llm import LLMClient
+    from .pipeline import PromptTemplate
 
 
 class ConfigError(ValueError):
@@ -98,6 +101,9 @@ def _convert(kind: type, value, key: str):
 
 def load_config(path: str | Path) -> RunConfig:
     import yaml  # here, not at the top: only --config needs it
+
+    from .llm import BACKENDS
+    from .pipeline import STAGES
 
     path = Path(path)
     try:
@@ -177,6 +183,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def build_templates(cfg: RunConfig) -> dict[str, PromptTemplate]:
+    from .pipeline import default_templates, load_template
+
     templates = default_templates()
     for stage, path in cfg.template_paths.items():
         templates[stage] = load_template(path, stage)
@@ -184,6 +192,8 @@ def build_templates(cfg: RunConfig) -> dict[str, PromptTemplate]:
 
 
 def build_client(cfg: RunConfig) -> LLMClient:
+    from .llm import GenerationParams, LLMClient
+
     try:
         params = GenerationParams(temperature=cfg.temperature, top_p=cfg.top_p,
                                   max_new_tokens=cfg.max_new_tokens,

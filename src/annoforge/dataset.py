@@ -3,7 +3,10 @@
 A dataset is a JSONL file: a header line carrying the format version, then
 one record per line. Records hold every stage output for one document plus
 the validation verdicts, so a dataset is auditable and the training emitter
-can re-check instances before writing supervised examples.
+can re-check instances before writing supervised examples. Reading a
+dataset parses every record's instance notation; the ``schema`` text is
+parsed only for callers that read it (``read_dataset(path, schema=False)``
+leaves ``DatasetRecord.schema`` as ``None``).
 
 Label statistics use exact rational arithmetic internally and round only
 when formatted. Overlap analysis compares dataset labels against benchmark
@@ -43,7 +46,7 @@ class DatasetRecord:
     summary: str
     structured: list[dict]  # [{"label": ..., "attributes": {...}}, ...]
     guidelines_text: str  # the raw model output, verbatim
-    schema: Schema
+    schema: Schema | None  # None when read with schema=False
     instances: InstanceSet  # survivors of validation filtering
     validation: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
@@ -63,7 +66,7 @@ def record_to_dict(record: DatasetRecord) -> dict:
     }
 
 
-def record_from_dict(data: dict) -> DatasetRecord:
+def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
     doc_id = data["doc_id"]
     return DatasetRecord(
         doc_id=doc_id,
@@ -73,7 +76,7 @@ def record_from_dict(data: dict) -> DatasetRecord:
         structured=[{"label": e["label"], "attributes": e["attributes"]}
                     for e in data["structured"]],
         guidelines_text=data["guidelines"],
-        schema=parse_guidelines(data["schema"]),
+        schema=parse_guidelines(data["schema"]) if schema else None,
         instances=parse_instances(data["instances"], doc_id=doc_id),
         validation=data.get("validation", {}),
         meta=data.get("meta", {}),
@@ -110,10 +113,13 @@ def append_records(records: list[DatasetRecord], path: str | Path) -> None:
             fh.write(_record_line(record) + "\n")
 
 
-def read_dataset(path: str | Path) -> list[DatasetRecord]:
+def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord]:
     """Read a dataset file back into records.
 
-    A corrupt record line or a bad header raises ``ValueError`` naming the file.
+    With ``schema=False`` the ``schema`` text is not parsed, so a record
+    whose schema is corrupt reads without error and its ``schema`` is
+    ``None``. A corrupt record line or a bad header raises ``ValueError``
+    naming the file.
     """
     path = Path(path)
     records = []
@@ -126,13 +132,13 @@ def read_dataset(path: str | Path) -> list[DatasetRecord]:
                 header = _parse_header(line, path, lineno)
                 if header["format"] != FORMAT_NAME:
                     raise ValueError(f"{path}: not a {FORMAT_NAME} file")
-                if header["version"] != FORMAT_VERSION:
-                    raise ValueError(f"{path}: unsupported dataset version "
-                                     f"{header['version']}")
+                version = header.get("version")
+                if version != FORMAT_VERSION:
+                    raise ValueError(f"{path}: unsupported dataset version {version}")
                 header_seen = True
                 continue
             try:
-                records.append(record_from_dict(json.loads(line)))
+                records.append(record_from_dict(json.loads(line), schema=schema))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: corrupt record ({exc})") from exc
         if not header_seen:

@@ -2,18 +2,23 @@
 
 The matching unit is a (label, span text) pair without character offsets,
 under multiset semantics: within one example, each gold mention can satisfy
-at most one predicted mention. ``exact`` matching compares surface strings
+at most one predicted mention. ``score`` counts this in one pass per
+example: it counts the gold keys, lets each prediction use up one count
+(a true positive) or else count as a false positive, and takes the counts
+left over as false negatives. ``exact`` matching compares surface strings
 verbatim and is the default for reported numbers; ``normalized`` folds case
 and collapses whitespace in the span text (labels always compare exactly).
 
 Unparseable model outputs score as empty predictions rather than aborting,
-so evaluation stays total over a benchmark. All 0/0 ratios are defined as 0.
+so evaluation stays total over a benchmark. A line that is not a well-formed
+gold example or prediction (bad JSON, no ``id``, a mention without ``label``
+or ``span``, an ``output`` that is not a string) raises ``ValueError``
+naming the file and line. All 0/0 ratios are defined as 0.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,16 +77,16 @@ class BenchmarkReport:
     macro_f1: float
 
 
-def _canon(span: str, matching: str) -> str:
-    return span if matching == "exact" else normalize_span(span)
-
-
 def score(golds: list[GoldExample], preds: list[Prediction],
           matching: str = "exact") -> EvalResult:
     """Micro P/R/F1 over all examples, with a per-label breakdown.
 
     Predictions for unknown example ids are an error; gold examples with no
-    prediction are scored against an empty mention set.
+    prediction are scored against an empty mention set. Within an example,
+    each predicted mention takes one unmatched gold mention with the same
+    (label, span) key if one is left (a tp) and is otherwise an fp; the gold
+    mentions left over are fns. The breakdown holds exactly the labels with
+    a nonzero tp, fp or fn.
     """
     if matching not in MATCHING_MODES:
         raise ValueError(f"unknown matching mode {matching!r}")
@@ -98,24 +103,31 @@ def score(golds: list[GoldExample], preds: list[Prediction],
             raise ValueError(f"prediction for unknown example_id {p.example_id!r}")
         pred_by_id[p.example_id] = p
 
-    tp: Counter[str] = Counter()
-    fp: Counter[str] = Counter()
-    fn: Counter[str] = Counter()
+    canon = normalize_span if matching == "normalized" else (lambda span: span)
+    tp: dict[str, int] = {}
+    fp: dict[str, int] = {}
+    fn: dict[str, int] = {}
     for eid, gold in gold_by_id.items():
-        gold_counts = Counter((lab, _canon(span, matching)) for lab, span in gold.mentions)
+        unmatched: dict[Mention, int] = {}
+        for label, span in gold.mentions:
+            key = (label, canon(span))
+            unmatched[key] = unmatched.get(key, 0) + 1
         pred = pred_by_id.get(eid)
-        pred_counts = Counter((lab, _canon(span, matching))
-                              for lab, span in (pred.mentions if pred else []))
-        # equality matching decomposes per key: matched = min of the two counts
-        for key in gold_counts | pred_counts:
-            label = key[0]
-            matched = min(gold_counts[key], pred_counts[key])
-            tp[label] += matched
-            fp[label] += pred_counts[key] - matched
-            fn[label] += gold_counts[key] - matched
+        for label, span in (pred.mentions if pred else ()):
+            key = (label, canon(span))
+            left = unmatched.get(key)
+            if left:
+                unmatched[key] = left - 1
+                tp[label] = tp.get(label, 0) + 1
+            else:
+                fp[label] = fp.get(label, 0) + 1
+        for (label, _), left in unmatched.items():
+            if left:
+                fn[label] = fn.get(label, 0) + left
 
-    breakdown = {label: EvalResult.from_counts(tp[label], fp[label], fn[label])
-                 for label in sorted(tp | fp | fn)}
+    breakdown = {label: EvalResult.from_counts(tp.get(label, 0), fp.get(label, 0),
+                                               fn.get(label, 0))
+                 for label in sorted(tp.keys() | fp.keys() | fn.keys())}
     return EvalResult.from_counts(sum(tp.values()), sum(fp.values()),
                                   sum(fn.values()), breakdown)
 
@@ -165,23 +177,36 @@ def mentions_from_instances(instance_set: InstanceSet,
     return mentions
 
 
+_CORRUPT = (ValueError, KeyError, TypeError, AttributeError)
+
+
+def _lines(path: str | Path):
+    """(line number, line) for each non-blank line of a JSONL file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
+def _mentions(record: dict) -> list[Mention]:
+    return [(m["label"], m["span"]) for m in record.get("mentions", [])]
+
+
 def load_gold(path: str | Path) -> list[GoldExample]:
     """Read a gold JSONL file: one {id, text, mentions: [{label, span}]} per line."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    for lineno, line in _lines(path):
+        try:
             record = json.loads(line)
-            mentions = []
-            for m in record.get("mentions", []):
-                label, span = m["label"], m["span"]
-                if not span:
-                    raise ValueError(f"{path}:{lineno}: empty span for label {label!r}")
-                mentions.append((label, span))
-            examples.append(GoldExample(example_id=str(record["id"]),
-                                        text=record.get("text", ""),
-                                        mentions=mentions))
+            example = GoldExample(example_id=str(record["id"]),
+                                  text=record.get("text", ""),
+                                  mentions=_mentions(record))
+        except _CORRUPT as exc:
+            raise ValueError(f"{path}:{lineno}: corrupt gold example ({exc})") from exc
+        for label, span in example.mentions:
+            if not span:
+                raise ValueError(f"{path}:{lineno}: empty span for label {label!r}")
+        examples.append(example)
     return examples
 
 
@@ -193,22 +218,25 @@ def load_predictions(path: str | Path, schema: Schema | None = None) -> list[Pre
     ``mentions`` list in the gold format.
     """
     preds = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
+    for lineno, line in _lines(path):
+        try:
             record = json.loads(line)
             eid = str(record["id"])
             if "mentions" in record:
-                mentions = [(m["label"], m["span"]) for m in record["mentions"]]
+                mentions = _mentions(record)
             else:
+                output = record["output"]
+                if not isinstance(output, str):
+                    raise TypeError(f"output is {type(output).__name__}, not a string")
                 try:
-                    iset = parse_instances(record["output"], doc_id=eid)
+                    iset = parse_instances(output, doc_id=eid)
                 except ParseError:
                     mentions = []
                 else:
                     mentions = mentions_from_instances(iset, schema)
-            preds.append(Prediction(example_id=eid, mentions=mentions))
+        except _CORRUPT as exc:
+            raise ValueError(f"{path}:{lineno}: corrupt prediction ({exc})") from exc
+        preds.append(Prediction(example_id=eid, mentions=mentions))
     return preds
 
 

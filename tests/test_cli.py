@@ -48,6 +48,17 @@ def mutated_dataset(tmp_path):
     return path
 
 
+def corrupted_dataset(tmp_path, field):
+    """Golden dataset whose second record has unparseable ``field`` text."""
+    lines = GOLDEN_DATASET.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    record[field] = "not notation"
+    lines[2] = json.dumps(record, sort_keys=True, ensure_ascii=False)
+    path = tmp_path / "corrupt.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 # -- generate -----------------------------------------------------------------
 
 def test_generate_matches_golden(runner, tmp_path, no_network):
@@ -158,6 +169,33 @@ def test_validate_corrupt_dataset_is_runtime_failure(runner, tmp_path):
     result = invoke(runner, "validate", bad)
     assert result.exit_code == 3
     assert "runtime failure:" in result.stderr
+
+
+# stats and overlap never read a record's schema, so they do not parse it:
+# a corrupt schema fails only the commands that use it.
+
+@pytest.mark.parametrize("args", [["stats"], ["stats", "--json"],
+                                  ["overlap", "--labels", DATA / "labels"]])
+def test_corrupt_schema_does_not_fail_stats_or_overlap(runner, tmp_path, args):
+    path = corrupted_dataset(tmp_path, "schema")
+    result = invoke(runner, args[0], path, *args[1:])
+    assert result.exit_code == 0, result.stderr
+    assert result.output == invoke(runner, args[0], GOLDEN_DATASET, *args[1:]).output
+
+
+@pytest.mark.parametrize("command", ["validate", "emit-train"])
+def test_corrupt_schema_fails_validate_and_emit_train(runner, tmp_path, command):
+    path = corrupted_dataset(tmp_path, "schema")
+    result = invoke(runner, command, path)
+    assert result.exit_code == 3
+    assert f"{path}:3: corrupt record" in result.stderr
+
+
+def test_corrupt_instances_fail_stats(runner, tmp_path):
+    path = corrupted_dataset(tmp_path, "instances")
+    result = invoke(runner, "stats", path)
+    assert result.exit_code == 3
+    assert f"{path}:3: corrupt record" in result.stderr
 
 
 def test_dataset_path_required_somewhere(runner):
@@ -283,6 +321,60 @@ def test_eval_missing_predictions_scores_empty_and_warns(runner, tmp_path):
     assert payload["per_dataset"]["science"]["tp"] == 0
 
 
+def eval_dirs(tmp_path, gold_line=None, pred_line=None):
+    """Copies of the eval fixtures with one line appended to movies.jsonl."""
+    gold, pred = tmp_path / "gold", tmp_path / "pred"
+    shutil.copytree(DATA / "eval" / "gold", gold)
+    shutil.copytree(DATA / "eval" / "pred", pred)
+    for directory, line in ((gold, gold_line), (pred, pred_line)):
+        if line is not None:
+            with open(directory / "movies.jsonl", "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+    return gold, pred
+
+
+GOLD_LINES = len((DATA / "eval" / "gold" / "movies.jsonl").read_text().splitlines())
+PRED_LINES = len((DATA / "eval" / "pred" / "movies.jsonl").read_text().splitlines())
+
+
+@pytest.mark.parametrize("line", [
+    "not json",
+    '{"text": "no id", "mentions": []}',
+    '{"id": "m9", "mentions": [{"span": "Up"}]}',
+    '{"id": "m9", "mentions": [{"label": "Film"}]}',
+], ids=["bad-json", "no-id", "no-label", "no-span"])
+def test_eval_corrupt_gold_line_names_file_and_line(runner, tmp_path, line):
+    gold, pred = eval_dirs(tmp_path, gold_line=line)
+    result = invoke(runner, "eval", gold, pred)
+    assert result.exit_code == 3
+    where = f"{gold / 'movies.jsonl'}:{GOLD_LINES + 1}: corrupt gold example"
+    assert where in result.stderr
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "m1", "output": 5}',
+    '{"id": "m1", "output": null}',
+    '{"output": "[Film(title=\\"Up\\")]"}',
+    "[1, 2",
+], ids=["int-output", "null-output", "no-id", "bad-json"])
+def test_eval_corrupt_prediction_line_names_file_and_line(runner, tmp_path, line):
+    gold, pred = eval_dirs(tmp_path, pred_line=line)
+    result = invoke(runner, "eval", gold, pred)
+    assert result.exit_code == 3
+    where = f"{pred / 'movies.jsonl'}:{PRED_LINES + 1}: corrupt prediction"
+    assert where in result.stderr
+
+
+def test_eval_unparseable_output_scores_as_empty(runner, tmp_path):
+    gold, pred = eval_dirs(tmp_path, gold_line=json.dumps({
+        "id": "m9", "text": "Up.", "mentions": [{"label": "Film", "span": "Up"}]}),
+        pred_line='{"id": "m9", "output": "[Film(title="}')
+    result = invoke(runner, "eval", gold, pred, "--json")
+    assert result.exit_code == 0, result.stderr
+    movies = json.loads(result.output)["per_dataset"]["movies"]
+    assert (movies["tp"], movies["fp"], movies["fn"]) == (2, 0, 2)
+
+
 def test_eval_empty_gold_dir_is_config_error(runner, tmp_path):
     (tmp_path / "gold").mkdir()
     (tmp_path / "pred").mkdir()
@@ -331,10 +423,16 @@ OFFLINE_RUN = """
 import sys
 import annoforge.cli
 from annoforge.dataset import compute_stats, read_dataset
-from annoforge.llm import LLMClient, user_request
+from annoforge.evaluation import GoldExample, Prediction, score
 
 dataset, cache, prompt = sys.argv[1:]
 assert compute_stats(read_dataset(dataset)).n_docs == 5
+gold = GoldExample(example_id="1", text="", mentions=[("A", "x")])
+assert score([gold], [Prediction(example_id="1", mentions=[("A", "x")])]).f1 == 1.0
+generate_only = ("annoforge.pipeline", "annoforge.llm", "concurrent.futures")
+print(sorted(name for name in generate_only if name in sys.modules))
+
+from annoforge.llm import LLMClient, user_request
 client = LLMClient(backend="replay", cache_path=cache)
 assert client.complete(user_request(prompt)).text == "cached"
 print(sorted(name for name in ("requests", "yaml") if name in sys.modules))
@@ -342,7 +440,8 @@ print(sorted(name for name in ("requests", "yaml") if name in sys.modules))
 
 
 def test_offline_commands_load_neither_requests_nor_yaml(tmp_path):
-    """Start-up cost: only an HTTP call imports requests, only --config yaml."""
+    """Start-up cost: the analysis commands load no module only generate
+    uses, only an HTTP call imports requests, and only --config yaml."""
     cache = tmp_path / "cache.jsonl"
     ReplayCache(cache).put(user_request("hello").request_key, "cached", "stop")
     src = str(Path(annoforge.__file__).parents[1])
@@ -352,4 +451,4 @@ def test_offline_commands_load_neither_requests_nor_yaml(tmp_path):
         [sys.executable, "-c", OFFLINE_RUN, str(GOLDEN_DATASET), str(cache), "hello"],
         capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "[]"]

@@ -60,6 +60,13 @@ def test_read_rejects_bad_headers(tmp_path):
         read_dataset(path)
 
 
+def test_read_header_without_version_names_the_file(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"format": "annoforge-dataset"}\n')
+    with pytest.raises(ValueError, match=r"d\.jsonl: unsupported dataset version None"):
+        read_dataset(path)
+
+
 def test_read_corrupt_line_raises(tmp_path):
     records = make_records()
     path = tmp_path / "d.jsonl"
@@ -87,6 +94,22 @@ def test_read_corrupt_structured_entry_raises(tmp_path, entry):
 
     with pytest.raises(ValueError, match=r"d\.jsonl:3: corrupt record"):
         read_dataset(path)
+
+
+def test_read_without_schema_skips_the_schema_parse(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_dataset(make_records(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    body = json.loads(lines[2])
+    body["schema"] = "not a schema"
+    lines[2] = json.dumps(body)
+    path.write_text("\n".join(lines) + "\n")
+
+    with pytest.raises(ValueError, match=r"d\.jsonl:3: corrupt record"):
+        read_dataset(path)
+    records = read_dataset(path, schema=False)
+    assert [r.schema for r in records] == [None, None]
+    assert [r.instances for r in records] == [r.instances for r in make_records()]
 
 
 def test_append_records(tmp_path):

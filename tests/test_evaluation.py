@@ -129,15 +129,20 @@ def test_label_permutation_invariance():
     assert before.f1 == after.f1
 
 
+SUITE_LABELS = ["A", "B", "C"]
+
+
 def random_suite(rng):
-    labels = ["A", "B", "C"]
-    spans = ["x", "y", "z", "w"]
+    # case and whitespace variants make normalized matching differ from exact
+    spans = ["x", "y", "z", "w", "X", " x", "x  y", "x y", "X Y"]
     golds, preds = [], []
     for i in range(rng.randint(1, 6)):
-        gm = [(rng.choice(labels), rng.choice(spans)) for _ in range(rng.randint(0, 5))]
+        gm = [(rng.choice(SUITE_LABELS), rng.choice(spans))
+              for _ in range(rng.randint(0, 5))]
         golds.append(ex(str(i), *gm))
         if rng.random() < 0.9:
-            pm = [(rng.choice(labels), rng.choice(spans)) for _ in range(rng.randint(0, 5))]
+            pm = [(rng.choice(SUITE_LABELS), rng.choice(spans))
+                  for _ in range(rng.randint(0, 5))]
             preds.append(pr(str(i), *pm))
     return golds, preds
 
@@ -145,10 +150,18 @@ def random_suite(rng):
 @pytest.mark.parametrize("matching", ["exact", "normalized"])
 def test_scorer_agrees_with_brute_force(matching):
     rng = random.Random(42)
+    differs_from_exact = False
     for _ in range(150):
         golds, preds = random_suite(rng)
         result = score(golds, preds, matching=matching)
         assert (result.tp, result.fp, result.fn) == oracle_counts(golds, preds, matching)
+        oracle = {label: oracle_label_counts(golds, preds, label, matching)
+                  for label in SUITE_LABELS}
+        assert set(result.breakdown) == {label for label, c in oracle.items() if any(c)}
+        for label, cell in result.breakdown.items():
+            assert (cell.tp, cell.fp, cell.fn) == oracle[label], label
+        differs_from_exact |= result.tp != score(golds, preds).tp
+    assert differs_from_exact == (matching == "normalized")
 
 
 def test_score_benchmarks_macro():

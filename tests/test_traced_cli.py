@@ -53,4 +53,13 @@ def test_arguments_the_tracer_reads_keep_their_positions(traced_cli):
         assert positional(functions[f"pipeline.stage.{stage}"])[0] == "doc"
     assert positional(functions["notation.parse_instances"])[0] == "text"
     assert positional(functions["dataset.write"])[:2] == ["records", "path"]
+    assert positional(functions["dataset.read"])[0] == "path"
     assert positional(functions["validation.validate"])[0] == "instance_set"
+
+
+def test_dataset_read_returns_a_list(traced_cli):
+    # the tracer's dataset.read size is len() of the result
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "dataset.jsonl"
+    records = traced_cli.FUNCTIONS["dataset.read"](golden)
+    assert isinstance(records, list)
+    assert traced_cli._size_of("dataset.read", (golden,), records) == 5
