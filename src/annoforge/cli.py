@@ -111,7 +111,6 @@ def generate(ctx):
         existing = read_dataset(dataset_path)
         log.info("resuming: %d records already present", len(existing))
     result = run_pipeline(docs, templates, client,
-                          parallelism=cfg.parallelism,
                           keep_empty=cfg.keep_empty,
                           grounding=cfg.grounding,
                           max_doc_chars=cfg.max_doc_chars,

@@ -19,7 +19,7 @@ Layout::
       temperature: 0.7
       top_p: 0.95
       max_new_tokens: 1024
-      parallelism: 1
+      parallelism: 1              # requests in flight to the endpoint
     pipeline:
       grounding: normalized       # exact | normalized | off
       keep_empty: false
@@ -199,7 +199,8 @@ def build_client(cfg: RunConfig) -> LLMClient:
                                   max_new_tokens=cfg.max_new_tokens,
                                   model_name=cfg.model_name)
         return LLMClient(backend=cfg.backend, base_url=cfg.base_url,
-                         cache_path=cfg.cache_path, params=params)
+                         cache_path=cfg.cache_path, params=params,
+                         parallelism=cfg.parallelism)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

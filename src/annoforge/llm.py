@@ -5,6 +5,9 @@ A retryable HTTP reply (429 or 5xx) is retried after its ``Retry-After`` delay
 ``requests`` is imported by the first HTTP call, not with this module, so the
 replay backend and the offline commands never load it.
 
+``parallelism`` bounds the requests in flight: a call holds a slot only while
+``requests.post`` runs, never across a retry wait, parsing or a cache write.
+
 Three backends share one interface:
 
 * ``http``   -- POST to a chat-completions endpoint, nothing persisted
@@ -181,19 +184,25 @@ class LLMClient:
                  cache_path: str | Path | None = None,
                  params: GenerationParams | None = None,
                  timeout: float = 120.0, max_attempts: int = 3,
-                 backoff_base: float = 1.0) -> None:
+                 backoff_base: float = 1.0, parallelism: int = 1) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         if backend in ("http", "record") and not base_url:
             raise ValueError(f"backend {backend!r} needs a base_url")
         if backend in ("replay", "record") and not cache_path:
             raise ValueError(f"backend {backend!r} needs a cache_path")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
         self.backend = backend
         self.base_url = base_url.rstrip("/") if base_url else None
         self.params = params or GenerationParams()
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
+        self.parallelism = parallelism
+        self._slots = threading.BoundedSemaphore(parallelism)
         self.cache = (ReplayCache(cache_path, must_exist=backend == "replay")
                       if cache_path else None)
 
@@ -227,12 +236,12 @@ class LLMClient:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         url = f"{self.base_url}/v1/chat/completions"
-        last_error = "no attempts made"
         for attempt in range(1, self.max_attempts + 1):
             wait = self.backoff_base * 2 ** (attempt - 1)
             try:
-                resp = requests.post(url, json=body, headers=headers,
-                                     timeout=self.timeout)
+                with self._slots:  # released before any retry wait
+                    resp = requests.post(url, json=body, headers=headers,
+                                         timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = f"transport error: {exc}"
             else:

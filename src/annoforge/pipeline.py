@@ -7,7 +7,8 @@ earlier outputs plus the original document, every model call is audited as
 a StageRecord, and unparseable output triggers a bounded repair loop before
 the document is rejected.
 
-Documents are independent; they may run concurrently, but results are
+Documents are independent and run on ``2 * client.parallelism`` workers; one
+holds an endpoint slot only while its request is on the wire. Results are
 assembled in input order so a replay-backed run is byte-deterministic.
 """
 
@@ -45,6 +46,9 @@ _PLACEHOLDER_RE = re.compile(r"\{(document|summary|structured_json|guidelines)\}
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n(.*?)```", re.DOTALL)
 
 MAX_PARSE_ATTEMPTS = 3  # first ask plus two repair re-asks
+# Document workers per endpoint slot: a document waiting out a retry or doing
+# its own CPU work holds no slot, so one worker per slot leaves slots idle.
+DOC_WORKERS_PER_SLOT = 2
 
 
 class StageError(Exception):
@@ -271,9 +275,8 @@ def truncate_document(text: str, max_chars: int | None) -> tuple[str, bool]:
 
 
 def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
-                 client: LLMClient, *, parallelism: int = 1,
-                 keep_empty: bool = False, grounding: str = "normalized",
-                 max_doc_chars: int | None = None,
+                 client: LLMClient, *, keep_empty: bool = False,
+                 grounding: str = "normalized", max_doc_chars: int | None = None,
                  skip_ids: frozenset[str] | set[str] = frozenset()) -> PipelineResult:
     """Run all four stages per document; failures reject, never abort.
 
@@ -283,8 +286,6 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
     for stage in STAGES:
         if stage not in templates:
             raise ValueError(f"missing template for stage {stage!r}")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     pending = [doc for doc in docs if doc.doc_id not in skip_ids]
 
     def process(doc: Document):
@@ -339,11 +340,8 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
         )
         return record, None, trail
 
-    if parallelism == 1 or len(pending) <= 1:
-        outcomes = [process(doc) for doc in pending]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(process, pending))
+    with ThreadPoolExecutor(max_workers=DOC_WORKERS_PER_SLOT * client.parallelism) as pool:
+        outcomes = list(pool.map(process, pending))
 
     result = PipelineResult(records=[], rejects=[])
     for record, reject, trail in outcomes:  # input order, for determinism

@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from annoforge.config import build_templates, load_config
+from annoforge.config import build_client, build_templates, load_config
 from annoforge.dataset import emit_training_examples, write_dataset
-from annoforge.llm import ChatResponse, GenerationParams, LLMClient
+from annoforge.llm import ChatResponse, GenerationParams
 from annoforge.corpus import Document
 from annoforge.pipeline import run_pipeline
 
@@ -271,6 +271,7 @@ class RecordingClient:
     """Serves the canned responses and writes each pair into the cache."""
 
     backend = "record"
+    parallelism = 1
 
     def __init__(self, cache_path: Path):
         self.params = GenerationParams(model_name="fixture")
@@ -303,15 +304,16 @@ def main():
     cfg = load_config(HERE / "config.yaml")
     templates = build_templates(cfg)
     recorder = RecordingClient(cache_path)
-    recorded = run_pipeline(DOCS, templates, recorder,
-                            grounding=cfg.grounding, keep_empty=cfg.keep_empty)
-    assert not recorded.rejects, recorded.rejects
+    # one document per run, so the cache lines come out in document order
+    for doc in DOCS:
+        recorded = run_pipeline([doc], templates, recorder,
+                                grounding=cfg.grounding, keep_empty=cfg.keep_empty)
+        assert not recorded.rejects, recorded.rejects
     assert recorder.calls == len(DOCS) * 4, recorder.calls
 
     # golden outputs come from the real replay client, same as any later run
-    replayer = LLMClient(backend="replay", cache_path=cache_path,
-                         params=GenerationParams(model_name="fixture"))
-    result = run_pipeline(DOCS, templates, replayer, parallelism=cfg.parallelism,
+    replayer = build_client(cfg)
+    result = run_pipeline(DOCS, templates, replayer,
                           grounding=cfg.grounding, keep_empty=cfg.keep_empty)
     assert not result.rejects, result.rejects
     golden = HERE / "golden"

@@ -15,8 +15,9 @@ class ScriptedClient:
 
     backend = "scripted"
 
-    def __init__(self, params: GenerationParams | None = None):
+    def __init__(self, params: GenerationParams | None = None, parallelism: int = 1):
         self.params = params or GenerationParams()
+        self.parallelism = parallelism
         self.rules: list[tuple[tuple[str, ...], ChatResponse]] = []
         self.calls: list[str] = []
 

@@ -213,6 +213,13 @@ def test_build_client_replay(tmp_path):
     assert client.params.model_name == "m"
 
 
+def test_build_client_passes_parallelism(tmp_path):
+    (tmp_path / "cache.jsonl").write_text("")
+    cfg = load_config(write_cfg(tmp_path, "client: {cache: cache.jsonl, parallelism: 4}\n"))
+    assert cfg.parallelism == 4
+    assert build_client(cfg).parallelism == cfg.parallelism
+
+
 def test_load_docs_requires_corpus(tmp_path):
     cfg = load_config(write_cfg(tmp_path, ""))
     with pytest.raises(ConfigError, match="declares no corpus"):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
+import time
 
 import pytest
 
@@ -17,7 +19,7 @@ from annoforge.llm import (
     ReplayCacheMissError,
     user_request,
 )
-from chatserver import completion
+from chatserver import ChatServer, completion
 
 
 def test_generation_params_defaults():
@@ -141,6 +143,18 @@ def test_client_config_validation(tmp_path):
         LLMClient(backend="http")
     with pytest.raises(ValueError, match="needs a cache_path"):
         LLMClient(backend="replay")
+
+
+def test_zero_parallelism_is_rejected():
+    # a zero-slot semaphore would block every HTTP call forever
+    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        LLMClient(backend="http", base_url="http://127.0.0.1:1", parallelism=0)
+
+
+def test_zero_max_attempts_is_rejected():
+    # zero attempts would send nothing and fail every call
+    with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+        LLMClient(backend="http", base_url="http://127.0.0.1:1", max_attempts=0)
 
 
 def test_replay_serves_cache_without_network(tmp_path, no_network):
@@ -304,3 +318,60 @@ def test_malformed_response_is_an_error(chat_server):
 def test_chat_response_shape():
     r = ChatResponse(text="x", finish_reason="stop")
     assert r.usage is None
+
+
+def run_threads(targets, timeout=10):
+    threads = [threading.Thread(target=t) for t in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive()
+
+
+def test_parallelism_bounds_requests_in_flight(chat_server):
+    lock = threading.Lock()
+    handling = {"now": 0, "peak": 0}
+
+    def slow(payload):
+        with lock:
+            handling["now"] += 1
+            handling["peak"] = max(handling["peak"], handling["now"])
+        time.sleep(0.05)
+        with lock:
+            handling["now"] -= 1
+        return ChatServer.echo(payload)
+
+    chat_server.responder = slow
+    client = LLMClient(backend="http", base_url=chat_server.base_url, parallelism=2)
+    texts = []
+    run_threads([lambda i=i: texts.append(client.complete(user_request(f"q{i}")).text)
+                 for i in range(6)])
+    assert sorted(texts) == [f"echo: q{i}" for i in range(6)]
+    assert handling["peak"] == 2
+
+
+def test_waiting_retry_holds_no_slot(chat_server):
+    events = []
+    first_sent = threading.Event()
+
+    def responder(payload):
+        content = payload["messages"][-1]["content"]
+        if content == "A" and not first_sent.is_set():
+            events.append("A sent")
+            first_sent.set()
+            return 429, {"error": "wait"}, {"Retry-After": "0.3"}
+        events.append(f"{content} sent")
+        return ChatServer.echo(payload)
+
+    chat_server.responder = responder
+    client = LLMClient(backend="http", base_url=chat_server.base_url, parallelism=1)
+
+    def ask_b():
+        assert first_sent.wait(5)
+        client.complete(user_request("B"))
+        events.append("B answered")
+
+    run_threads([lambda: client.complete(user_request("A")), ask_b])
+    # B is sent and answered while A waits out its Retry-After
+    assert events == ["A sent", "B sent", "B answered", "A sent"]

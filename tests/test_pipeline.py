@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -338,18 +339,63 @@ def test_run_pipeline_requires_all_templates():
         run_pipeline([DOC], templates, scripted_for())
 
 
+def record_bytes(result):
+    dicts = [record_to_dict(r) for r in result.records]
+    for d in dicts:
+        d["meta"]["generated_at"] = None  # wall clock; only set off-replay
+    return json.dumps(dicts, sort_keys=True)
+
+
 def test_run_pipeline_parallelism_preserves_order_and_bytes():
     serial = run_pipeline([DOC, SECOND_DOC], default_templates(), scripted_two_docs())
-    parallel = run_pipeline([DOC, SECOND_DOC], default_templates(),
-                            scripted_two_docs(), parallelism=3)
+    client = scripted_two_docs()
+    client.parallelism = 3
+    parallel = run_pipeline([DOC, SECOND_DOC], default_templates(), client)
+    assert record_bytes(serial) == record_bytes(parallel)
 
-    def to_bytes(result):
-        dicts = [record_to_dict(r) for r in result.records]
-        for d in dicts:
-            d["meta"]["generated_at"] = None  # wall clock; only set off-replay
-        return json.dumps(dicts, sort_keys=True)
 
-    assert to_bytes(serial) == to_bytes(parallel)
+BROKEN_DOC = Document(doc_id="rome-01", text="Rome was founded on the Palatine.")
+UNKNOWN_DOC = Document(doc_id="none-01", text="Nothing is scripted for this text.")
+
+
+class FirstDocsLast(ScriptedClient):
+    """Answers the first two documents only once the last two are done."""
+
+    def __init__(self, rules):
+        super().__init__(parallelism=3)
+        self.rules = rules
+        self.second_done = threading.Event()
+        self.unknown_done = threading.Event()
+
+    def complete(self, request):
+        prompt = request.messages[-1].content
+        if DOC.text in prompt or BROKEN_DOC.text in prompt:
+            assert self.second_done.wait(5) and self.unknown_done.wait(5)
+        try:
+            return super().complete(request)
+        finally:
+            if INSTANCES in prompt and SECOND_DOC.text in prompt:
+                self.second_done.set()
+            if UNKNOWN_DOC.text in prompt:
+                self.unknown_done.set()
+
+
+def test_run_pipeline_keeps_input_order_when_later_docs_finish_first():
+    docs = [DOC, BROKEN_DOC, SECOND_DOC, UNKNOWN_DOC]
+    reference = scripted_two_docs()
+    reference.add((SUMMARIZE, "Rome was founded"), "- Rome: a city")
+    reference.add((STRUCTURE, "Rome was founded"), "still not json")
+    one_slot = run_pipeline(docs, default_templates(), reference)
+    held = run_pipeline(docs, default_templates(), FirstDocsLast(reference.rules))
+
+    assert [r.doc_id for r in held.records] == ["ml-01", "city-01"]
+    assert [(r.doc_id, r.stage) for r in held.rejects] == \
+        [("rome-01", "structure"), ("none-01", "summarize")]
+    assert [t.doc_id for t in held.trail] == \
+        ["ml-01"] * 4 + ["rome-01"] * 4 + ["city-01"] * 4
+    assert record_bytes(held) == record_bytes(one_slot)
+    assert held.rejects == one_slot.rejects
+    assert held.trail == one_slot.trail
 
 
 def test_run_pipeline_truncates_long_documents():
