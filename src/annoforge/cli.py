@@ -12,19 +12,21 @@ import json
 import logging
 import sys
 from collections import Counter
+from contextlib import closing
+from dataclasses import asdict
 from pathlib import Path
 
 import click
 
 from .config import ConfigError, RunConfig, build_client, build_templates, load_config, load_docs
 from .dataset import (
-    append_records,
     compute_overlap,
     compute_stats,
     dataset_labels,
     emit_training_examples,
     load_labelspaces,
     read_dataset,
+    resume_doc_ids,
     write_dataset,
 )
 from .evaluation import format_table, load_gold, load_predictions, score_benchmarks
@@ -92,12 +94,16 @@ def _resolve_dataset(ctx, dataset_path: str | None) -> Path:
     raise ConfigError("give a dataset path, or --config/--output-dir to locate one")
 
 
+def _jsonl(entry) -> str:
+    return json.dumps(asdict(entry), sort_keys=True, ensure_ascii=False) + "\n"
+
+
 @main.command()
 @click.pass_context
 @guarded
 def generate(ctx):
     """Run the four-stage pipeline over the corpus and write the dataset."""
-    from .pipeline import run_pipeline, write_trail  # here: only generate needs it
+    from .pipeline import run_pipeline  # here: only generate needs it
 
     cfg = _load_cfg(ctx)
     docs = load_docs(cfg, seed=ctx.obj.get("seed"))
@@ -106,29 +112,33 @@ def generate(ctx):
     out = cfg.output_dir
     dataset_path = out / "dataset.jsonl"
 
-    existing = []
+    done = []
     if ctx.obj.get("resume") and dataset_path.exists():
-        existing = read_dataset(dataset_path)
-        log.info("resuming: %d records already present", len(existing))
-    result = run_pipeline(docs, templates, client,
-                          keep_empty=cfg.keep_empty,
-                          grounding=cfg.grounding,
-                          max_doc_chars=cfg.max_doc_chars,
-                          skip_ids={r.doc_id for r in existing})
-    if existing:
-        append_records(result.records, dataset_path)
-    else:
-        write_dataset(result.records, dataset_path)
-    write_trail(result.trail, out / "trail.jsonl")
-    with open(out / "rejects.jsonl", "w", encoding="utf-8") as fh:
-        for reject in result.rejects:
-            fh.write(json.dumps({"doc_id": reject.doc_id, "stage": reject.stage,
-                                 "reason": reject.reason},
-                                sort_keys=True, ensure_ascii=False) + "\n")
+        done = resume_doc_ids(dataset_path)
+        log.info("resuming: %d records already present", len(done))
+    outcomes = run_pipeline(docs, templates, client, keep_empty=cfg.keep_empty,
+                            grounding=cfg.grounding, max_doc_chars=cfg.max_doc_chars,
+                            skip_ids=set(done))
+    counts: Counter[str] = Counter()
+    out.mkdir(parents=True, exist_ok=True)
+    # closing, so a failed write cancels the documents not yet started
+    with closing(outcomes), open(out / "trail.jsonl", "w", encoding="utf-8") as trail, \
+            open(out / "rejects.jsonl", "w", encoding="utf-8") as rejects:
 
-    total = len(existing) + len(result.records)
-    click.echo(f"generated {len(result.records)} records "
-               f"({total} total, {len(result.rejects)} rejected) -> {dataset_path}")
+        def records():
+            for record, reject, steps in outcomes:
+                trail.writelines(map(_jsonl, steps))
+                counts["records" if reject is None else "rejects"] += 1
+                if reject is None:
+                    yield record
+                else:
+                    rejects.write(_jsonl(reject))
+
+        write_dataset(records(), dataset_path, append=bool(done))
+
+    total = len(done) + counts["records"]
+    click.echo(f"generated {counts['records']} records "
+               f"({total} total, {counts['rejects']} rejected) -> {dataset_path}")
     raise SystemExit(0 if total >= 1 else 1)
 
 

@@ -99,6 +99,12 @@ def _convert(kind: type, value, key: str):
     raise ConfigError(f"{key} must be {noun}, got {value!r}")
 
 
+def _string(value, key: str) -> str:
+    if isinstance(value, str) and value:
+        return value
+    raise ConfigError(f"{key} must be a non-empty string, got {value!r}")
+
+
 def load_config(path: str | Path) -> RunConfig:
     import yaml  # here, not at the top: only --config needs it
 
@@ -150,10 +156,11 @@ def load_config(path: str | Path) -> RunConfig:
     cfg.backend = client.get("backend", cfg.backend)
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}")
-    cfg.base_url = client.get("base_url")
+    if client.get("base_url") is not None:
+        cfg.base_url = _string(client["base_url"], "client.base_url")
     if client.get("cache") is not None:
         cfg.cache_path = resolve(client["cache"])
-    cfg.model_name = str(client.get("model", cfg.model_name))
+    cfg.model_name = _string(client.get("model", cfg.model_name), "client.model")
     cfg.temperature = _convert(float, client.get("temperature", cfg.temperature),
                                "client.temperature")
     cfg.top_p = _convert(float, client.get("top_p", cfg.top_p), "client.top_p")

@@ -3,7 +3,9 @@
 A dataset is a JSONL file: a header line carrying the format version, then
 one record per line. Records hold every stage output for one document plus
 the validation verdicts, so a dataset is auditable and the training emitter
-can re-check instances before writing supervised examples. Reading a
+can re-check instances before writing supervised examples. ``generate``
+streams records into ``write_dataset``, which flushes each line, so a kill
+leaves at most a torn last line; ``resume_doc_ids`` cuts it. Reading a
 dataset parses every record's instance notation; the ``schema`` text is
 parsed only for callers that read it (``read_dataset(path, schema=False)``
 leaves ``DatasetRecord.schema`` as ``None``).
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from .notation import (
@@ -83,34 +87,20 @@ def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
     )
 
 
-def _header_line() -> str:
-    return json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION},
-                      sort_keys=True)
-
-
-def _record_line(record: DatasetRecord) -> str:
-    return json.dumps(record_to_dict(record), sort_keys=True, ensure_ascii=False)
-
-
-def write_dataset(records: list[DatasetRecord], path: str | Path) -> None:
-    """Write a whole dataset file, header first."""
+def write_dataset(records: Iterable[DatasetRecord], path: str | Path, *,
+                  append: bool = False) -> None:
+    """Write records one flushed line at a time, after a header unless appending."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header_line() + "\n")
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+        if not append:
+            fh.write(json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION},
+                                sort_keys=True) + "\n")
+            fh.flush()
         for record in records:
-            fh.write(_record_line(record) + "\n")
-
-
-def append_records(records: list[DatasetRecord], path: str | Path) -> None:
-    """Append records to an existing dataset file (created if missing)."""
-    path = Path(path)
-    if not path.exists():
-        write_dataset(records, path)
-        return
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(_record_line(record) + "\n")
+            fh.write(json.dumps(record_to_dict(record), sort_keys=True,
+                                ensure_ascii=False) + "\n")
+            fh.flush()
 
 
 def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord]:
@@ -122,38 +112,57 @@ def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord
     naming the file.
     """
     path = Path(path)
-    records = []
     with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if not header_seen:
-                header = _parse_header(line, path, lineno)
-                if header["format"] != FORMAT_NAME:
-                    raise ValueError(f"{path}: not a {FORMAT_NAME} file")
-                version = header.get("version")
-                if version != FORMAT_VERSION:
-                    raise ValueError(f"{path}: unsupported dataset version {version}")
-                header_seen = True
-                continue
-            try:
-                records.append(record_from_dict(json.loads(line), schema=schema))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: corrupt record ({exc})") from exc
-        if not header_seen:
-            raise ValueError(f"{path}: missing dataset header")
-    return records
+        return list(_decode(fh, path, lambda data: record_from_dict(data, schema=schema)))
 
 
-def _parse_header(line: str, path: Path, lineno: int) -> dict:
+def resume_doc_ids(path: str | Path) -> list[str]:
+    """The ``doc_id`` of each complete record line, for ``generate --resume``.
+
+    Only the JSON is decoded, never the notation. A last line without its
+    newline, a write cut short, is cut from the file with a warning. An
+    empty file, left by a kill before the header, holds no records.
+    """
+    path = Path(path)
+    if path.stat().st_size == 0:
+        return []
+    with open(path, "r+b") as fh:
+        return list(_decode(_complete_lines(fh, path), path, itemgetter("doc_id")))
+
+
+def _complete_lines(fh, path: Path) -> Iterator[bytes]:
+    """The lines of a binary file opened for update, cutting a torn last line."""
+    offset = 0
+    for lineno, line in enumerate(fh, start=1):
+        if not line.endswith(b"\n"):
+            log.warning("%s:%d: dropping torn last line", path, lineno)
+            fh.truncate(offset)
+            return
+        offset += len(line)
+        yield line
+
+
+def _decode(lines: Iterable, path: Path, decode) -> Iterator:
+    """``decode`` of each record line's JSON, after checking the header line."""
+    numbered = ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
+    lineno, line = next(numbered, (None, None))
+    if line is None:
+        raise ValueError(f"{path}: missing dataset header")
     try:
         header = json.loads(line)
         if not isinstance(header, dict) or "format" not in header:
             raise ValueError("no format field")
-        return header
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: missing dataset header ({exc})") from exc
+    if header["format"] != FORMAT_NAME:
+        raise ValueError(f"{path}: not a {FORMAT_NAME} file")
+    if header.get("version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported dataset version {header.get('version')}")
+    for lineno, line in numbered:
+        try:
+            yield decode(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: corrupt record ({exc})") from exc
 
 
 @dataclass

@@ -8,8 +8,9 @@ a StageRecord, and unparseable output triggers a bounded repair loop before
 the document is rejected.
 
 Documents are independent and run on ``2 * client.parallelism`` workers; one
-holds an endpoint slot only while its request is on the wire. Results are
-assembled in input order so a replay-backed run is byte-deterministic.
+holds an endpoint slot only while its request is on the wire. Outcomes are
+yielded in input order, each once it and every earlier document are done,
+so a replay-backed run is byte-deterministic and output can be streamed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -120,17 +122,13 @@ class RejectEntry:
     reason: str
 
 
-@dataclass
-class PipelineResult:
-    records: list[DatasetRecord]
-    rejects: list[RejectEntry]
-    trail: list[StageRecord] = field(default_factory=list)
+# one document's result: a record or a reject (the other is None), and its trail
+Outcome = tuple[DatasetRecord | None, RejectEntry | None, list[StageRecord]]
 
 
 def _ask(client: LLMClient, prompt: str, parse, doc_id: str, stage: str,
          trail: list[StageRecord]):
     """Ask, parse, and re-ask with the parser's complaint appended on failure."""
-    last_error = "no attempts made"
     for attempt in range(1, MAX_PARSE_ATTEMPTS + 1):
         rendered = prompt if attempt == 1 else (
             f"{prompt}\n\nYour previous response could not be used "
@@ -139,19 +137,15 @@ def _ask(client: LLMClient, prompt: str, parse, doc_id: str, stage: str,
             response = client.complete(user_request(rendered, params=client.params))
         except LLMError as exc:
             raise StageError(stage, doc_id, str(exc)) from exc
+        parsed_ok = False
         if response.finish_reason == "length":
             last_error = "response truncated by the token limit"
-            trail.append(StageRecord(doc_id=doc_id, stage=stage,
-                                     rendered_prompt=rendered,
-                                     raw_response=response.text,
-                                     parsed_ok=False, attempt=attempt))
-            continue
-        try:
-            value = parse(response.text)
-            parsed_ok = True
-        except (ParseError, ValueError) as exc:
-            last_error = str(exc)
-            parsed_ok = False
+        else:
+            try:
+                value = parse(response.text)
+                parsed_ok = True
+            except (ParseError, ValueError) as exc:
+                last_error = str(exc)
         trail.append(StageRecord(doc_id=doc_id, stage=stage,
                                  rendered_prompt=rendered,
                                  raw_response=response.text,
@@ -277,11 +271,12 @@ def truncate_document(text: str, max_chars: int | None) -> tuple[str, bool]:
 def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
                  client: LLMClient, *, keep_empty: bool = False,
                  grounding: str = "normalized", max_doc_chars: int | None = None,
-                 skip_ids: frozenset[str] | set[str] = frozenset()) -> PipelineResult:
+                 skip_ids: frozenset[str] | set[str] = frozenset()) -> Iterator[Outcome]:
     """Run all four stages per document; failures reject, never abort.
 
-    ``skip_ids`` supports resuming: documents already present in an output
-    dataset are not reprocessed.
+    Yields an ``Outcome`` per document, in input order; closing the generator
+    cancels the documents not yet started. ``skip_ids`` supports resuming:
+    documents already present in an output dataset are not reprocessed.
     """
     for stage in STAGES:
         if stage not in templates:
@@ -341,27 +336,5 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
         return record, None, trail
 
     with ThreadPoolExecutor(max_workers=DOC_WORKERS_PER_SLOT * client.parallelism) as pool:
-        outcomes = list(pool.map(process, pending))
-
-    result = PipelineResult(records=[], rejects=[])
-    for record, reject, trail in outcomes:  # input order, for determinism
-        result.trail.extend(trail)
-        if record is not None:
-            result.records.append(record)
-        else:
-            result.rejects.append(reject)
-    return result
-
-
-def write_trail(trail: list[StageRecord], path: str | Path) -> None:
-    """Audit log: one StageRecord per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in trail:
-            fh.write(json.dumps({
-                "doc_id": record.doc_id, "stage": record.stage,
-                "attempt": record.attempt, "parsed_ok": record.parsed_ok,
-                "rendered_prompt": record.rendered_prompt,
-                "raw_response": record.raw_response,
-            }, sort_keys=True, ensure_ascii=False) + "\n")
+        # closing pool.map's iterator cancels its pending futures
+        yield from pool.map(process, pending)

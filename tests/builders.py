@@ -40,10 +40,23 @@ def demo_client() -> ScriptedClient:
     return client
 
 
+def collect(outcomes) -> tuple[list, list, list]:
+    """``run_pipeline``'s stream as lists of records, rejects and trail entries."""
+    records, rejects, trail = [], [], []
+    for record, reject, steps in outcomes:
+        trail.extend(steps)
+        if reject is None:
+            records.append(record)
+        else:
+            rejects.append(reject)
+    return records, rejects, trail
+
+
 def make_records() -> list[DatasetRecord]:
-    result = run_pipeline([DOC1, DOC2], default_templates(), demo_client())
-    assert not result.rejects, result.rejects
-    return result.records
+    records, rejects, _ = collect(run_pipeline([DOC1, DOC2], default_templates(),
+                                               demo_client()))
+    assert not rejects, rejects
+    return records
 
 
 def stats_record(doc_id: str, labels: list[str]) -> DatasetRecord:

@@ -306,22 +306,24 @@ def main():
     recorder = RecordingClient(cache_path)
     # one document per run, so the cache lines come out in document order
     for doc in DOCS:
-        recorded = run_pipeline([doc], templates, recorder,
-                                grounding=cfg.grounding, keep_empty=cfg.keep_empty)
-        assert not recorded.rejects, recorded.rejects
+        for _, reject, _ in run_pipeline([doc], templates, recorder,
+                                         grounding=cfg.grounding,
+                                         keep_empty=cfg.keep_empty):
+            assert reject is None, reject
     assert recorder.calls == len(DOCS) * 4, recorder.calls
 
     # golden outputs come from the real replay client, same as any later run
     replayer = build_client(cfg)
-    result = run_pipeline(DOCS, templates, replayer,
-                          grounding=cfg.grounding, keep_empty=cfg.keep_empty)
-    assert not result.rejects, result.rejects
+    outcomes = list(run_pipeline(DOCS, templates, replayer,
+                                 grounding=cfg.grounding, keep_empty=cfg.keep_empty))
+    assert all(reject is None for _, reject, _ in outcomes), outcomes
+    records = [record for record, _, _ in outcomes]
     golden = HERE / "golden"
     golden.mkdir(exist_ok=True)
-    write_dataset(result.records, golden / "dataset.jsonl")
-    emitted = emit_training_examples(result.records, golden / "train.jsonl")
+    write_dataset(records, golden / "dataset.jsonl")
+    emitted = emit_training_examples(records, golden / "train.jsonl")
     assert emitted == len(DOCS), emitted
-    print(f"wrote {len(result.records)} records, {recorder.calls} cache entries")
+    print(f"wrote {len(records)} records, {recorder.calls} cache entries")
 
 
 if __name__ == "__main__":

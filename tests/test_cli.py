@@ -1,10 +1,13 @@
 """End-to-end command tests against the committed replay fixtures."""
 
 import json
+import logging
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,9 @@ from click.testing import CliRunner
 
 import annoforge
 from annoforge.cli import main
-from annoforge.llm import ReplayCache, user_request
+from annoforge.llm import ChatMessage, ChatRequest, GenerationParams, ReplayCache, user_request
+from chatserver import completion
+from scripted import GUIDELINES, INSTANCES, STRUCTURE, SUMMARIZE, ScriptedClient
 
 DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "config.yaml"
@@ -90,6 +95,174 @@ def test_generate_resume_skips_completed_docs(runner, tmp_path, no_network):
     assert result.exit_code == 0, result.output + result.stderr
     assert "generated 0 records (5 total, 0 rejected)" in result.output
     assert dataset.read_bytes() == before
+
+
+def test_resume_cuts_a_torn_last_line(runner, tmp_path, caplog):
+    golden = GOLDEN_DATASET.read_bytes().splitlines(keepends=True)
+    dataset = tmp_path / "dataset.jsonl"
+    # header, records 1-2, then record 3 cut off mid-line, as a kill leaves it
+    dataset.write_bytes(b"".join(golden[:3]) + golden[3][:len(golden[3]) // 2])
+    # cache lines 9-20 answer documents 3-5 only: a re-run of 1-2 would reject
+    cache = (DATA / "cache.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "part-cache.jsonl").write_bytes(b"".join(cache[8:20]))
+    config = tmp_path / "part.yaml"
+    config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
+                      "client: {backend: replay, cache: part-cache.jsonl, model: fixture}\n",
+                      encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        result = invoke(runner, "--config", config, "--output-dir", tmp_path,
+                        "--resume", "generate")
+    assert result.exit_code == 0, result.output + result.stderr
+    assert "generated 3 records (5 total, 0 rejected)" in result.output
+    assert dataset.read_bytes() == GOLDEN_DATASET.read_bytes()
+    assert f"{dataset}:4: dropping torn last line" in caplog.text
+
+
+@pytest.mark.parametrize("kept_lines", [1, 0], ids=["header-only", "empty"])
+def test_resume_without_records_writes_the_whole_dataset(runner, tmp_path, kept_lines):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(b"".join(GOLDEN_DATASET.read_bytes()
+                                 .splitlines(keepends=True)[:kept_lines]))
+    result = invoke(runner, "--config", CONFIG, "--output-dir", tmp_path,
+                    "--resume", "generate")
+    assert result.exit_code == 0, result.output + result.stderr
+    assert "generated 5 records (5 total, 0 rejected)" in result.output
+    assert dataset.read_bytes() == GOLDEN_DATASET.read_bytes()
+
+
+def test_resume_corrupt_middle_line_is_runtime_failure(runner, tmp_path):
+    lines = GOLDEN_DATASET.read_bytes().splitlines(keepends=True)
+    lines[2] = b"not json\n"
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(b"".join(lines))
+    result = invoke(runner, "--config", CONFIG, "--output-dir", tmp_path,
+                    "--resume", "generate")
+    assert result.exit_code == 3
+    assert f"{dataset}:3: corrupt record" in result.stderr
+    assert dataset.read_bytes() == b"".join(lines)
+
+
+class SlowAfterFirst(ScriptedClient):
+    """Answers the first document at once and every other one after a wait,
+    so the writer fails while the next two are still in flight."""
+
+    def complete(self, request):
+        if "text 0." not in request.messages[-1].content:
+            time.sleep(0.05)
+        return super().complete(request)
+
+
+def test_failed_write_stops_generate_early(runner, tmp_path, monkeypatch):
+    """A writer error must not leave the queued documents running: on an
+    HTTP backend each of them is paid model calls."""
+    n_docs = 15
+    with open(tmp_path / "docs.jsonl", "w", encoding="utf-8") as fh:
+        for i in range(n_docs):
+            fh.write(json.dumps({"id": f"d{i:02d}", "text": f"Paris, text {i}."}) + "\n")
+    (tmp_path / "cfg.yaml").write_text("corpus: docs.jsonl\n", encoding="utf-8")
+    client = SlowAfterFirst()
+    client.add(SUMMARIZE, "- Paris: a city")
+    client.add(STRUCTURE, '[{"label": "City", "attributes": {"name": "Paris"}}]')
+    client.add(GUIDELINES, '@dataclass\nclass City:\n    """A city."""\n'
+                           "    name: str  # the name\n")
+    client.add(INSTANCES, '[City(name="Paris")]')
+    monkeypatch.setattr("annoforge.cli.build_client", lambda cfg: client)
+
+    def full_disk(records, path, *, append=False):
+        next(iter(records))
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr("annoforge.cli.write_dataset", full_disk)
+    result = invoke(runner, "--config", tmp_path / "cfg.yaml",
+                    "--output-dir", tmp_path, "generate")
+    assert result.exit_code == 3
+    assert "No space left on device" in result.stderr
+    # the first document, plus at most the two workers' documents in flight
+    assert len(client.calls) <= 3 * 4 < n_docs * 4
+    # and the document pool is shut down, not working through its queue
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("ThreadPoolExecutor")]
+
+
+FIXTURE_DOCS = {json.loads(line)["id"]: json.loads(line)["text"]
+                for line in (DATA / "docs.jsonl").read_text(encoding="utf-8").splitlines()}
+FIXTURE_REPLIES = {entry["request_key"]: entry["response_text"]
+                   for entry in map(json.loads, (DATA / "cache.jsonl").read_text(
+                       encoding="utf-8").splitlines())}
+
+
+def doc_of(payload: dict) -> str:
+    prompt = payload["messages"][-1]["content"]
+    return next(doc_id for doc_id, text in FIXTURE_DOCS.items() if text in prompt)
+
+
+def fixture_reply(payload: dict):
+    """The fixture cache's answer, served over HTTP."""
+    request = ChatRequest(
+        messages=tuple(ChatMessage(m["role"], m["content"]) for m in payload["messages"]),
+        params=GenerationParams(temperature=payload["temperature"],
+                                top_p=payload["top_p"],
+                                max_new_tokens=payload["max_tokens"],
+                                model_name=payload["model"]))
+    return 200, completion(FIXTURE_REPLIES[request.request_key])
+
+
+def without_clock(dataset: Path) -> list[dict]:
+    records = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+    for record in records[1:]:
+        record["meta"]["generated_at"] = None
+    return records
+
+
+def test_sigkill_then_resume_matches_an_uninterrupted_run(runner, tmp_path, chat_server):
+    config = tmp_path / "http.yaml"
+    config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
+                      f"client: {{backend: http, base_url: {chat_server.base_url}, "
+                      # more slots than stalled documents, so 1-2 can finish
+                      "model: fixture, parallelism: 4}\n", encoding="utf-8")
+    first_two = set(list(FIXTURE_DOCS)[:2])
+    release = threading.Event()
+
+    def stall_after_two(payload):
+        if doc_of(payload) not in first_two:
+            release.wait(30)
+        return fixture_reply(payload)
+
+    chat_server.responder = stall_after_two
+    killed = tmp_path / "killed"
+    src = str(Path(annoforge.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "annoforge.cli", "--config", str(config),
+         "--output-dir", str(killed), "generate"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    dataset = killed / "dataset.jsonl"
+    try:
+        deadline = time.monotonic() + 30
+        while not (dataset.exists() and dataset.read_bytes().count(b"\n") == 3):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+    assert dataset.read_bytes().endswith(b"\n")  # each record is flushed whole
+
+    with chat_server.state_lock:
+        chat_server.seen.clear()
+    chat_server.responder = fixture_reply
+    release.set()
+    resumed = invoke(runner, "--config", config, "--output-dir", killed,
+                     "--resume", "generate")
+    assert resumed.exit_code == 0, resumed.output + resumed.stderr
+    assert "generated 3 records (5 total, 0 rejected)" in resumed.output
+    assert not first_two & {doc_of(s["payload"]) for s in chat_server.seen}
+
+    whole = tmp_path / "whole"
+    assert invoke(runner, "--config", config, "--output-dir", whole,
+                  "generate").exit_code == 0
+    assert without_clock(dataset) == without_clock(whole / "dataset.jsonl")
+    assert [r["doc_id"] for r in without_clock(dataset)[1:]] == list(FIXTURE_DOCS)
 
 
 def test_generate_without_resume_and_empty_cache_fails_all_docs(runner, tmp_path):

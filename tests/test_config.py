@@ -164,6 +164,10 @@ def test_invalid_values_rejected(tmp_path, snippet, message):
     ("sample: {n: true}", "sample.n must be an integer, got True"),
     ("sample: {seed: false}", "sample.seed must be an integer, got False"),
     ("client: {temperature: true}", "client.temperature must be a number, got True"),
+    ("client: {base_url: 123}", "client.base_url must be a non-empty string, got 123"),
+    ("client: {model: null}", "client.model must be a non-empty string, got None"),
+    ("client: {model: }", "client.model must be a non-empty string, got None"),
+    ('client: {model: ""}', "client.model must be a non-empty string, got ''"),
 ])
 def test_non_numeric_values_name_their_key(tmp_path, snippet, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -14,7 +14,6 @@ from annoforge.dataset import (
     emit_training_examples,
     load_labelspace,
     load_labelspaces,
-    append_records,
     read_dataset,
     write_dataset,
 )
@@ -112,11 +111,11 @@ def test_read_without_schema_skips_the_schema_parse(tmp_path):
     assert [r.instances for r in records] == [r.instances for r in make_records()]
 
 
-def test_append_records(tmp_path):
+def test_write_dataset_append(tmp_path):
     first, second = make_records()
     path = tmp_path / "d.jsonl"
-    append_records([first], path)   # creates file with header
-    append_records([second], path)  # plain append
+    write_dataset(iter([first]), path)               # header, then the record
+    write_dataset(iter([second]), path, append=True)  # no second header
     assert read_dataset(path) == [first, second]
     content = path.read_text(encoding="utf-8")
     assert content.count('"format"') == 1

@@ -21,6 +21,7 @@ from annoforge.pipeline import (
     strip_fences,
     truncate_document,
 )
+from builders import collect
 from scripted import GUIDELINES, INSTANCES, REPAIR, STRUCTURE, SUMMARIZE, ScriptedClient
 
 DOC = Document(doc_id="ml-01",
@@ -266,10 +267,11 @@ def scripted_two_docs():
 
 def test_run_pipeline_happy_path():
     client = scripted_two_docs()
-    result = run_pipeline([DOC, SECOND_DOC], default_templates(), client)
-    assert [r.doc_id for r in result.records] == ["ml-01", "city-01"]
-    assert result.rejects == []
-    record = result.records[0]
+    records, rejects, trail = collect(run_pipeline([DOC, SECOND_DOC],
+                                                   default_templates(), client))
+    assert [r.doc_id for r in records] == ["ml-01", "city-01"]
+    assert rejects == []
+    record = records[0]
     assert record.summary == SUMMARY_TEXT
     assert len(record.instances.instances) == 2
     assert record.validation["kept_count"] == 2
@@ -278,7 +280,17 @@ def test_run_pipeline_happy_path():
     assert record.meta["backend"] == "scripted"
     assert record.meta["truncated"] is False
     # audit completeness: every call the client saw is in the trail
-    assert len(result.trail) == len(client.calls) == 8
+    assert len(trail) == len(client.calls) == 8
+
+
+def test_run_pipeline_yields_each_document_with_its_own_trail():
+    client = scripted_for()  # knows nothing about the second doc
+    (record, no_reject, first), (no_record, reject, second) = run_pipeline(
+        [DOC, SECOND_DOC], default_templates(), client)
+    assert (record.doc_id, no_reject) == ("ml-01", None)
+    assert (no_record, reject.doc_id) == (None, "city-01")
+    assert [t.doc_id for t in first] == ["ml-01"] * 4
+    assert second == []  # the first call failed before any response
 
 
 def test_run_pipeline_filters_and_rejects_vacuous_docs():
@@ -287,70 +299,76 @@ def test_run_pipeline_filters_and_rejects_vacuous_docs():
     client.rules = [(n, r) for n, r in client.rules
                     if "City(name=" not in r.text]
     client.add((INSTANCES, "Paris hosted"), '[City(name="Berlin")]')
-    result = run_pipeline([DOC, SECOND_DOC], default_templates(), client)
-    assert [r.doc_id for r in result.records] == ["ml-01"]
-    assert len(result.rejects) == 1
-    reject = result.rejects[0]
+    records, rejects, _ = collect(run_pipeline([DOC, SECOND_DOC],
+                                               default_templates(), client))
+    assert [r.doc_id for r in records] == ["ml-01"]
+    assert len(rejects) == 1
+    reject = rejects[0]
     assert (reject.doc_id, reject.stage) == ("city-01", "filter")
     assert "no instances survived" in reject.reason
 
-    keep = run_pipeline([SECOND_DOC], default_templates(), client, keep_empty=True)
-    assert len(keep.records) == 1
-    assert keep.records[0].instances.instances == []
-    assert keep.records[0].validation["raw_count"] == 1
+    kept, _, _ = collect(run_pipeline([SECOND_DOC], default_templates(), client,
+                                      keep_empty=True))
+    assert len(kept) == 1
+    assert kept[0].instances.instances == []
+    assert kept[0].validation["raw_count"] == 1
 
 
 def test_run_pipeline_stage_failure_names_stage():
     client = scripted_for()
     client.add((SUMMARIZE, "Paris hosted"), "- Paris: a city")
     client.add((STRUCTURE, "Paris hosted"), "still not json")
-    result = run_pipeline([DOC, SECOND_DOC], default_templates(), client)
-    assert [r.doc_id for r in result.records] == ["ml-01"]
-    assert [(r.doc_id, r.stage) for r in result.rejects] == [("city-01", "structure")]
-    assert "invalid JSON" in result.rejects[0].reason
+    records, rejects, _ = collect(run_pipeline([DOC, SECOND_DOC],
+                                               default_templates(), client))
+    assert [r.doc_id for r in records] == ["ml-01"]
+    assert [(r.doc_id, r.stage) for r in rejects] == [("city-01", "structure")]
+    assert "invalid JSON" in rejects[0].reason
 
 
 def test_run_pipeline_client_error_rejects_doc():
     client = scripted_for()  # knows nothing about the second doc
-    result = run_pipeline([DOC, SECOND_DOC], default_templates(), client)
-    assert [r.doc_id for r in result.records] == ["ml-01"]
-    assert result.rejects[0].doc_id == "city-01"
-    assert result.rejects[0].stage == "summarize"
-    assert "no scripted response" in result.rejects[0].reason
+    records, rejects, _ = collect(run_pipeline([DOC, SECOND_DOC],
+                                               default_templates(), client))
+    assert [r.doc_id for r in records] == ["ml-01"]
+    assert rejects[0].doc_id == "city-01"
+    assert rejects[0].stage == "summarize"
+    assert "no scripted response" in rejects[0].reason
 
 
 def test_run_pipeline_skip_ids_for_resume():
     client = scripted_two_docs()
-    result = run_pipeline([DOC, SECOND_DOC], default_templates(), client,
-                          skip_ids={"ml-01"})
-    assert [r.doc_id for r in result.records] == ["city-01"]
+    records, _, _ = collect(run_pipeline([DOC, SECOND_DOC], default_templates(),
+                                         client, skip_ids={"ml-01"}))
+    assert [r.doc_id for r in records] == ["city-01"]
     assert all("TensorFlow was developed" not in call for call in client.calls)
 
 
 def test_run_pipeline_empty_corpus():
-    result = run_pipeline([], default_templates(), scripted_for())
-    assert result.records == [] and result.rejects == [] and result.trail == []
+    assert list(run_pipeline([], default_templates(), scripted_for())) == []
 
 
 def test_run_pipeline_requires_all_templates():
     templates = default_templates()
     del templates["instances"]
+    client = scripted_for()
     with pytest.raises(ValueError, match="missing template for stage 'instances'"):
-        run_pipeline([DOC], templates, scripted_for())
+        list(run_pipeline([DOC], templates, client))
+    assert client.calls == []
 
 
-def record_bytes(result):
-    dicts = [record_to_dict(r) for r in result.records]
+def record_bytes(records):
+    dicts = [record_to_dict(r) for r in records]
     for d in dicts:
         d["meta"]["generated_at"] = None  # wall clock; only set off-replay
     return json.dumps(dicts, sort_keys=True)
 
 
 def test_run_pipeline_parallelism_preserves_order_and_bytes():
-    serial = run_pipeline([DOC, SECOND_DOC], default_templates(), scripted_two_docs())
+    serial, _, _ = collect(run_pipeline([DOC, SECOND_DOC], default_templates(),
+                                        scripted_two_docs()))
     client = scripted_two_docs()
     client.parallelism = 3
-    parallel = run_pipeline([DOC, SECOND_DOC], default_templates(), client)
+    parallel, _, _ = collect(run_pipeline([DOC, SECOND_DOC], default_templates(), client))
     assert record_bytes(serial) == record_bytes(parallel)
 
 
@@ -385,17 +403,18 @@ def test_run_pipeline_keeps_input_order_when_later_docs_finish_first():
     reference = scripted_two_docs()
     reference.add((SUMMARIZE, "Rome was founded"), "- Rome: a city")
     reference.add((STRUCTURE, "Rome was founded"), "still not json")
-    one_slot = run_pipeline(docs, default_templates(), reference)
-    held = run_pipeline(docs, default_templates(), FirstDocsLast(reference.rules))
+    one_slot = collect(run_pipeline(docs, default_templates(), reference))
+    records, rejects, trail = collect(
+        run_pipeline(docs, default_templates(), FirstDocsLast(reference.rules)))
 
-    assert [r.doc_id for r in held.records] == ["ml-01", "city-01"]
-    assert [(r.doc_id, r.stage) for r in held.rejects] == \
+    assert [r.doc_id for r in records] == ["ml-01", "city-01"]
+    assert [(r.doc_id, r.stage) for r in rejects] == \
         [("rome-01", "structure"), ("none-01", "summarize")]
-    assert [t.doc_id for t in held.trail] == \
+    assert [t.doc_id for t in trail] == \
         ["ml-01"] * 4 + ["rome-01"] * 4 + ["city-01"] * 4
-    assert record_bytes(held) == record_bytes(one_slot)
-    assert held.rejects == one_slot.rejects
-    assert held.trail == one_slot.trail
+    assert record_bytes(records) == record_bytes(one_slot[0])
+    assert rejects == one_slot[1]
+    assert trail == one_slot[2]
 
 
 def test_run_pipeline_truncates_long_documents():
@@ -405,9 +424,9 @@ def test_run_pipeline_truncates_long_documents():
     client.add(STRUCTURE, STRUCTURE_TEXT)
     client.add(GUIDELINES, GUIDELINE_TEXT)
     client.add(INSTANCES, INSTANCE_TEXT)
-    result = run_pipeline([long_doc], default_templates(), client,
-                          max_doc_chars=len(DOC.text))
-    assert result.records[0].meta["truncated"] is True
-    assert result.records[0].document == DOC.text
+    [(record, _, _)] = run_pipeline([long_doc], default_templates(), client,
+                                    max_doc_chars=len(DOC.text))
+    assert record.meta["truncated"] is True
+    assert record.document == DOC.text
     # the truncated text, not the original, is what every prompt rendered
     assert all(len(call) < 3000 for call in client.calls)
