@@ -10,9 +10,10 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import sys
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from .dataset import (
     compute_stats,
     dataset_labels,
     emit_training_examples,
+    iter_dataset,
     load_labelspaces,
-    read_dataset,
     resume_doc_ids,
     write_dataset,
 )
@@ -98,6 +99,18 @@ def _jsonl(entry) -> str:
     return json.dumps(asdict(entry), sort_keys=True, ensure_ascii=False) + "\n"
 
 
+@contextmanager
+def _replacing(out: Path):
+    """A temporary file beside ``out`` that replaces it only if the block succeeds,
+    so a failed run leaves ``out`` as it was, even when ``out`` is the input."""
+    tmp = out.with_name(out.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 @main.command()
 @click.pass_context
 @guarded
@@ -153,26 +166,31 @@ def generate(ctx):
 def validate_cmd(ctx, dataset_path, grounding, out_path):
     """Re-validate a dataset and write the filtered survivors."""
     path = _resolve_dataset(ctx, dataset_path)
-    records = read_dataset(path)
-    by_code: Counter[str] = Counter()
-    dropped = 0
-    for record in records:
-        policy = grounding or record.meta.get("grounding", "normalized")
-        kept, errors = filter_instances(record.instances, record.schema,
-                                        record.document, grounding=policy)
-        dropped += len(record.instances.instances) - len(kept.instances)
-        for err in errors:
-            by_code[err.code.value] += 1
-        record.instances = kept
-        record.validation = {**record.validation,
-                             "revalidated": policy,
-                             "kept_count": len(kept.instances)}
     out = Path(out_path) if out_path else path.with_name(path.stem + ".filtered.jsonl")
-    write_dataset(records, out)
+    by_code: Counter[str] = Counter()
+    counts: Counter[str] = Counter()
+
+    def revalidated():
+        for record in iter_dataset(path):
+            policy = grounding or record.meta.get("grounding", "normalized")
+            kept, errors = filter_instances(record.instances, record.schema,
+                                            record.document, grounding=policy)
+            counts["records"] += 1
+            counts["dropped"] += len(record.instances.instances) - len(kept.instances)
+            by_code.update(err.code.value for err in errors)
+            record.instances = kept
+            record.validation = {**record.validation,
+                                 "revalidated": policy,
+                                 "kept_count": len(kept.instances)}
+            yield record
+
+    with _replacing(out) as tmp:
+        write_dataset(revalidated(), tmp)
     for code in sorted(by_code):
         click.echo(f"{code}: {by_code[code]}")
-    click.echo(f"dropped {dropped} instances across {len(records)} records -> {out}")
-    raise SystemExit(1 if dropped else 0)
+    click.echo(f"dropped {counts['dropped']} instances across {counts['records']} "
+               f"records -> {out}")
+    raise SystemExit(1 if counts["dropped"] else 0)
 
 
 @main.command()
@@ -184,8 +202,7 @@ def validate_cmd(ctx, dataset_path, grounding, out_path):
 @guarded
 def stats(ctx, dataset_path, k, as_json):
     """Label statistics over a dataset."""
-    records = read_dataset(_resolve_dataset(ctx, dataset_path), schema=False)
-    result = compute_stats(records)
+    result = compute_stats(iter_dataset(_resolve_dataset(ctx, dataset_path), schema=False))
     if as_json:
         click.echo(json.dumps(result.to_dict(k), indent=2))
         return
@@ -213,7 +230,7 @@ def stats(ctx, dataset_path, k, as_json):
 @guarded
 def overlap(ctx, dataset_path, labelspace_dir, case_insensitive, as_json):
     """Coverage of benchmark label spaces by the dataset's labels."""
-    records = read_dataset(_resolve_dataset(ctx, dataset_path), schema=False)
+    records = iter_dataset(_resolve_dataset(ctx, dataset_path), schema=False)
     results = compute_overlap(dataset_labels(records),
                               load_labelspaces(labelspace_dir),
                               case_insensitive=case_insensitive)
@@ -240,11 +257,18 @@ def overlap(ctx, dataset_path, labelspace_dir, case_insensitive, as_json):
 def emit_train(ctx, dataset_path, out_path):
     """Emit supervised training examples in the code-style format."""
     path = _resolve_dataset(ctx, dataset_path)
-    records = read_dataset(path)
     out = Path(out_path) if out_path else path.with_name("train.jsonl")
-    written = emit_training_examples(records, out)
-    click.echo(f"wrote {written} of {len(records)} examples -> {out}")
-    raise SystemExit(0 if written == len(records) else 1)
+    counts: Counter[str] = Counter()
+
+    def counted():
+        for record in iter_dataset(path):
+            counts["records"] += 1
+            yield record
+
+    with _replacing(out) as tmp:
+        written = emit_training_examples(counted(), tmp)
+    click.echo(f"wrote {written} of {counts['records']} examples -> {out}")
+    raise SystemExit(0 if written == counts["records"] else 1)
 
 
 @main.command("eval")
@@ -263,18 +287,19 @@ def eval_cmd(gold_dir, pred_dir, matching, schema_path, as_json):
     gold_files = sorted(Path(gold_dir).glob("*.jsonl"))
     if not gold_files:
         raise ConfigError(f"no gold files in {gold_dir}")
-    suites = {}
     missing = []
-    for gold_file in gold_files:
-        pred_file = Path(pred_dir) / gold_file.name
+
+    def load_suite(gold_file: Path):
         golds = load_gold(gold_file)
+        pred_file = Path(pred_dir) / gold_file.name
         if pred_file.exists():
-            preds = load_predictions(pred_file, schema)
-        else:
-            missing.append(gold_file.name)
-            log.warning("no predictions for %s; scoring as empty", gold_file.name)
-            preds = []
-        suites[gold_file.stem] = (golds, preds)
+            return golds, load_predictions(pred_file, schema)
+        missing.append(gold_file.name)
+        log.warning("no predictions for %s; scoring as empty", gold_file.name)
+        return golds, []
+
+    # a generator, so each suite is scored and let go before the next loads
+    suites = ((gold_file.stem, load_suite(gold_file)) for gold_file in gold_files)
     report = score_benchmarks(suites, matching=matching)
     if as_json:
         click.echo(json.dumps({

@@ -74,6 +74,15 @@ _PIPELINE_KEYS = {"grounding", "keep_empty", "max_doc_chars"}
 _SAMPLE_KEYS = {"n", "seed"}
 
 
+def _section(raw: dict, name: str, allowed: set[str]) -> dict:
+    """The mapping under ``name``, empty when absent, with its keys checked."""
+    section = {} if raw.get(name) is None else raw[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a mapping, got {section!r}")
+    _check_keys(section, allowed, name)
+    return section
+
+
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     for secret in ("api_key", "apikey", "token", "secret"):
         if secret in section:
@@ -136,23 +145,20 @@ def load_config(path: str | Path) -> RunConfig:
     if cfg.corpus_format not in (None, "jsonl", "text-directory"):
         raise ConfigError(f"unknown corpus_format {cfg.corpus_format!r}")
 
-    sample = raw.get("sample") or {}
-    _check_keys(sample, _SAMPLE_KEYS, "sample")
+    sample = _section(raw, "sample", _SAMPLE_KEYS)
     if sample.get("n") is not None:
         cfg.sample_n = _convert(int, sample["n"], "sample.n")
         if cfg.sample_n < 1:
             raise ConfigError("sample n must be >= 1")
     cfg.sample_seed = _convert(int, sample.get("seed", 0), "sample.seed")
 
-    templates = raw.get("templates") or {}
-    _check_keys(templates, set(STAGES), "templates")
+    templates = _section(raw, "templates", set(STAGES))
     cfg.template_paths = {stage: resolve(p) for stage, p in templates.items()}
     for stage, p in cfg.template_paths.items():
         if not p.exists():
             raise ConfigError(f"template for stage {stage!r} not found: {p}")
 
-    client = raw.get("client") or {}
-    _check_keys(client, _CLIENT_KEYS, "client")
+    client = _section(raw, "client", _CLIENT_KEYS)
     cfg.backend = client.get("backend", cfg.backend)
     if cfg.backend not in BACKENDS:
         raise ConfigError(f"unknown backend {cfg.backend!r}")
@@ -171,8 +177,7 @@ def load_config(path: str | Path) -> RunConfig:
     if cfg.parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
 
-    pipeline = raw.get("pipeline") or {}
-    _check_keys(pipeline, _PIPELINE_KEYS, "pipeline")
+    pipeline = _section(raw, "pipeline", _PIPELINE_KEYS)
     cfg.grounding = pipeline.get("grounding", cfg.grounding)
     if cfg.grounding not in GROUNDING_POLICIES:
         raise ConfigError(f"unknown grounding policy {cfg.grounding!r}")

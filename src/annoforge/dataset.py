@@ -5,10 +5,11 @@ one record per line. Records hold every stage output for one document plus
 the validation verdicts, so a dataset is auditable and the training emitter
 can re-check instances before writing supervised examples. ``generate``
 streams records into ``write_dataset``, which flushes each line, so a kill
-leaves at most a torn last line; ``resume_doc_ids`` cuts it. Reading a
-dataset parses every record's instance notation; the ``schema`` text is
-parsed only for callers that read it (``read_dataset(path, schema=False)``
-leaves ``DatasetRecord.schema`` as ``None``).
+leaves at most a torn last line; ``resume_doc_ids`` cuts it. ``iter_dataset``
+yields one record at a time and the analysis functions take any iterable, so
+a command holds one record, not the dataset. Each record's instance notation
+is parsed; its ``schema`` text only for callers that read it (with
+``schema=False``, ``DatasetRecord.schema`` is ``None``).
 
 Label statistics use exact rational arithmetic internally and round only
 when formatted. Overlap analysis compares dataset labels against benchmark
@@ -103,17 +104,22 @@ def write_dataset(records: Iterable[DatasetRecord], path: str | Path, *,
             fh.flush()
 
 
-def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord]:
-    """Read a dataset file back into records.
+def iter_dataset(path: str | Path, *, schema: bool = True) -> Iterator[DatasetRecord]:
+    """Yield a dataset file's records in file order, one at a time.
 
     With ``schema=False`` the ``schema`` text is not parsed, so a record
     whose schema is corrupt reads without error and its ``schema`` is
-    ``None``. A corrupt record line or a bad header raises ``ValueError``
-    naming the file.
+    ``None``. A bad header, or a corrupt record line once it is reached,
+    raises ``ValueError`` naming the file (and the line).
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        return list(_decode(fh, path, lambda data: record_from_dict(data, schema=schema)))
+        yield from _decode(fh, path, lambda data: record_from_dict(data, schema=schema))
+
+
+def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord]:
+    """Every record of ``iter_dataset`` in one list."""
+    return list(iter_dataset(path, schema=schema))
 
 
 def resume_doc_ids(path: str | Path) -> list[str]:
@@ -197,13 +203,13 @@ class LabelStats:
         }
 
 
-def compute_stats(records: list[DatasetRecord]) -> LabelStats:
+def compute_stats(records: Iterable[DatasetRecord]) -> LabelStats:
     """Count labels over instances (classes merely declared do not count)."""
     doc_freq: dict[str, int] = {}
     ann_freq: dict[str, int] = {}
-    distinct_total = 0
-    annotation_total = 0
+    n = distinct_total = annotation_total = 0
     for record in records:
+        n += 1
         labels = [inst.class_name for inst in record.instances.instances]
         annotation_total += len(labels)
         used = sorted(set(labels))
@@ -212,7 +218,6 @@ def compute_stats(records: list[DatasetRecord]) -> LabelStats:
             doc_freq[label] = doc_freq.get(label, 0) + 1
         for label in labels:
             ann_freq[label] = ann_freq.get(label, 0) + 1
-    n = len(records)
     return LabelStats(
         n_docs=n,
         unique_label_count=len(ann_freq),
@@ -299,13 +304,13 @@ def load_labelspaces(directory: str | Path) -> dict[str, dict[str, set[str]]]:
     return spaces
 
 
-def dataset_labels(records: list[DatasetRecord]) -> set[str]:
+def dataset_labels(records: Iterable[DatasetRecord]) -> set[str]:
     """All class names with at least one surviving instance."""
     return {inst.class_name for record in records
             for inst in record.instances.instances}
 
 
-def emit_training_examples(records: list[DatasetRecord], path: str | Path) -> int:
+def emit_training_examples(records: Iterable[DatasetRecord], path: str | Path) -> int:
     """Write supervised examples: guidelines + document in, instance list out.
 
     Each record is re-validated first; a record that no longer passes is

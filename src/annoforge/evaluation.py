@@ -8,6 +8,8 @@ example: it counts the gold keys, lets each prediction use up one count
 left over as false negatives. ``exact`` matching compares surface strings
 verbatim and is the default for reported numbers; ``normalized`` folds case
 and collapses whitespace in the span text (labels always compare exactly).
+``score_benchmarks`` scores each suite as an iterable yields it, so ``eval``
+holds one suite's examples at a time.
 
 Unparseable model outputs score as empty predictions rather than aborting,
 so evaluation stays total over a benchmark. A line that is not a well-formed
@@ -19,6 +21,7 @@ naming the file and line. All 0/0 ratios are defined as 0.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,13 +143,15 @@ def macro_average(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
-def score_benchmarks(suites: dict[str, tuple[list[GoldExample], list[Prediction]]],
+def score_benchmarks(suites: Iterable[tuple[str, tuple[list[GoldExample], list[Prediction]]]],
                      matching: str = "exact") -> BenchmarkReport:
-    """Score each named suite and macro-average the per-dataset F1."""
-    if not suites:
+    """Score each ``(name, (golds, preds))`` suite as it arrives; macro-average the F1."""
+    per_dataset = {}
+    for name, (golds, preds) in suites:
+        per_dataset[name] = score(golds, preds, matching=matching)
+        del golds, preds  # let this suite go before the next is drawn
+    if not per_dataset:
         raise ValueError("no suites to score")
-    per_dataset = {name: score(golds, preds, matching=matching)
-                   for name, (golds, preds) in suites.items()}
     macro = macro_average([r.f1 for r in per_dataset.values()])
     return BenchmarkReport(per_dataset=per_dataset, macro_f1=macro)
 

@@ -1,5 +1,6 @@
 """End-to-end command tests against the committed replay fixtures."""
 
+import gc
 import json
 import logging
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,9 @@ from click.testing import CliRunner
 
 import annoforge
 from annoforge.cli import main
+from annoforge.dataset import write_dataset
 from annoforge.llm import ChatMessage, ChatRequest, GenerationParams, ReplayCache, user_request
+from builders import stats_record
 from chatserver import completion
 from scripted import GUIDELINES, INSTANCES, STRUCTURE, SUMMARIZE, ScriptedClient
 
@@ -295,6 +299,15 @@ def test_config_with_credentials_is_rejected(runner, tmp_path):
     assert "credentials belong in the environment" in result.stderr
 
 
+@pytest.mark.parametrize("section", ["client: 5", "pipeline: [grounding]"])
+def test_config_section_that_is_not_a_mapping_is_config_error(runner, tmp_path, section):
+    (tmp_path / "bad.yaml").write_text(section + "\n")
+    result = invoke(runner, "--config", tmp_path / "bad.yaml",
+                    "--output-dir", tmp_path, "generate")
+    assert result.exit_code == 2
+    assert f"error: {section.split(':')[0]} must be a mapping, got" in result.stderr
+
+
 def test_missing_replay_cache_is_config_error(runner, tmp_path):
     (tmp_path / "cfg.yaml").write_text(
         f"corpus: {DATA / 'docs.jsonl'}\n"
@@ -342,6 +355,73 @@ def test_validate_corrupt_dataset_is_runtime_failure(runner, tmp_path):
     result = invoke(runner, "validate", bad)
     assert result.exit_code == 3
     assert "runtime failure:" in result.stderr
+
+
+def test_validate_in_place_keeps_every_record(runner, tmp_path):
+    dataset = tmp_path / "ip.jsonl"
+    shutil.copy(GOLDEN_DATASET, dataset)
+    apart = invoke(runner, "validate", GOLDEN_DATASET, "--out", tmp_path / "apart.jsonl")
+    result = invoke(runner, "validate", dataset, "--out", dataset)
+    assert result.exit_code == apart.exit_code == 0, result.stderr
+    assert "dropped 0 instances across 5 records" in result.output
+    assert dataset.read_bytes() == (tmp_path / "apart.jsonl").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["apart.jsonl", "ip.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["validate", "emit-train"])
+def test_failed_run_leaves_the_previous_output(runner, tmp_path, command):
+    """Records 1-2 stream out before line 4 fails; the old output must survive."""
+    lines = GOLDEN_DATASET.read_text(encoding="utf-8").splitlines()
+    lines[3] = "{not json"
+    dataset = tmp_path / "bad.jsonl"
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"previous output\n")
+    result = invoke(runner, command, dataset, "--out", out)
+    assert result.exit_code == 3
+    assert f"{dataset}:4: corrupt record" in result.stderr
+    assert out.read_bytes() == b"previous output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out.jsonl"]
+
+
+def built_dataset(path: Path, n: int) -> Path:
+    """``n`` small records, each with its own doc_id and a 1 KB document."""
+    record = stats_record("doc", [])
+    record.document = "x " * 500
+    write_dataset([record], path)
+    header, line = path.read_text(encoding="utf-8").splitlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line.replace('"doc_id": "doc"', f'"doc_id": "doc-{i}"', 1) + "\n"
+                      for i in range(n))
+    return path
+
+
+def test_analysis_memory_does_not_grow_with_the_dataset(runner, tmp_path):
+    """validate, stats and emit-train hold one record at a time, not the dataset."""
+    small = built_dataset(tmp_path / "small.jsonl", 200)
+    large = built_dataset(tmp_path / "large.jsonl", 2000)
+
+    def peaks(dataset):
+        found = {}
+        for args in (["validate", dataset, "--out", tmp_path / "filtered.jsonl"],
+                     ["stats", dataset],
+                     ["emit-train", dataset, "--out", tmp_path / "train.jsonl"]):
+            gc.collect()  # garbage of an earlier run, freed mid-run, would lower the peak
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert invoke(runner, *args).exit_code == 0
+            found[args[0]] = tracemalloc.get_traced_memory()[1] - before
+        return found
+
+    peaks(built_dataset(tmp_path / "warm.jsonl", 5))  # first-call caches, lazy imports
+    tracemalloc.start()
+    try:
+        base, grown = peaks(small), peaks(large)
+    finally:
+        tracemalloc.stop()
+    for command, peak in grown.items():
+        assert peak < 1.5 * base[command], (command, base[command], peak)
 
 
 # stats and overlap never read a record's schema, so they do not parse it:
@@ -595,11 +675,12 @@ def test_help_lists_all_commands(runner):
 OFFLINE_RUN = """
 import sys
 import annoforge.cli
-from annoforge.dataset import compute_stats, read_dataset
+from annoforge.dataset import compute_stats, iter_dataset, read_dataset
 from annoforge.evaluation import GoldExample, Prediction, score
 
 dataset, cache, prompt = sys.argv[1:]
 assert compute_stats(read_dataset(dataset)).n_docs == 5
+assert compute_stats(iter_dataset(dataset, schema=False)).n_docs == 5
 gold = GoldExample(example_id="1", text="", mentions=[("A", "x")])
 assert score([gold], [Prediction(example_id="1", mentions=[("A", "x")])]).f1 == 1.0
 generate_only = ("annoforge.pipeline", "annoforge.llm", "concurrent.futures")

@@ -174,6 +174,18 @@ def test_non_numeric_values_name_their_key(tmp_path, snippet, message):
         load_config(write_cfg(tmp_path, snippet + "\n"))
 
 
+@pytest.mark.parametrize("snippet,message", [
+    ("client: 5", "client must be a mapping, got 5"),
+    ("client: http", "client must be a mapping, got 'http'"),
+    ("sample: 3", "sample must be a mapping, got 3"),
+    ("templates: 7", "templates must be a mapping, got 7"),
+    ("pipeline: [grounding]", "pipeline must be a mapping, got ['grounding']"),
+])
+def test_non_mapping_sections_name_their_section(tmp_path, snippet, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(write_cfg(tmp_path, snippet + "\n"))
+
+
 def test_missing_template_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="template for stage 'summarize' not found"):
         load_config(write_cfg(tmp_path, "templates: {summarize: gone.txt}\n"))

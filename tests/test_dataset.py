@@ -12,6 +12,7 @@ from annoforge.dataset import (
     compute_stats,
     dataset_labels,
     emit_training_examples,
+    iter_dataset,
     load_labelspace,
     load_labelspaces,
     read_dataset,
@@ -76,6 +77,20 @@ def test_read_corrupt_line_raises(tmp_path):
 
     with pytest.raises(ValueError, match=r"d\.jsonl:2: corrupt record"):
         read_dataset(path)
+
+
+def test_iter_dataset_yields_records_before_a_corrupt_line(tmp_path):
+    records = make_records()
+    path = tmp_path / "d.jsonl"
+    write_dataset(records + records, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3][:40]  # chop the third record mid-JSON
+    path.write_text("\n".join(lines) + "\n")
+
+    stream = iter_dataset(path)
+    assert [next(stream), next(stream)] == records
+    with pytest.raises(ValueError, match=r"d\.jsonl:4: corrupt record"):
+        next(stream)
 
 
 @pytest.mark.parametrize("entry", [
@@ -163,6 +178,14 @@ def test_compute_stats_permutation_invariant_and_decomposable():
     recombined = (pa.avg_annotations_per_doc * pa.n_docs +
                   pb.avg_annotations_per_doc * pb.n_docs) / whole.n_docs
     assert whole.avg_annotations_per_doc == recombined
+
+
+def test_compute_stats_and_labels_consume_an_iterator():
+    records = [stats_record("d1", ["A", "B"]), stats_record("d2", []),
+               stats_record("d3", ["B", "C", "B"])]
+    assert compute_stats(iter(records)) == compute_stats(records)
+    assert compute_stats(iter([])) == compute_stats([])
+    assert dataset_labels(iter(records)) == dataset_labels(records) == {"A", "B", "C"}
 
 
 def test_stats_top_bottom_tables():
