@@ -12,9 +12,11 @@ import json
 import logging
 import os
 import sys
+import time
 from collections import Counter
 from contextlib import closing, contextmanager
 from dataclasses import asdict
+from datetime import timedelta
 from pathlib import Path
 
 import click
@@ -129,9 +131,12 @@ def generate(ctx):
     if ctx.obj.get("resume") and dataset_path.exists():
         done = resume_doc_ids(dataset_path)
         log.info("resuming: %d records already present", len(done))
+    skip = set(done)
+    pending = sum(doc.doc_id not in skip for doc in docs)
+    step = -(-pending // 20)  # about 20 progress lines, whatever the corpus size
     outcomes = run_pipeline(docs, templates, client, keep_empty=cfg.keep_empty,
                             grounding=cfg.grounding, max_doc_chars=cfg.max_doc_chars,
-                            skip_ids=set(done))
+                            skip_ids=skip)
     counts: Counter[str] = Counter()
     out.mkdir(parents=True, exist_ok=True)
     # closing, so a failed write cancels the documents not yet started
@@ -139,13 +144,21 @@ def generate(ctx):
             open(out / "rejects.jsonl", "w", encoding="utf-8") as rejects:
 
         def records():
-            for record, reject, steps in outcomes:
+            start = time.monotonic()
+            for n, (record, reject, steps) in enumerate(outcomes, 1):
                 trail.writelines(map(_jsonl, steps))
                 counts["records" if reject is None else "rejects"] += 1
+                if reject is not None:
+                    rejects.write(_jsonl(reject))
+                # on disk before the record, so a killed run keeps each record's audit
+                trail.flush()
+                rejects.flush()
+                if n % step == 0 or n == pending:
+                    rate = n / max(time.monotonic() - start, 1e-9)
+                    log.info("progress: %d/%d documents, %.1f docs/s, ETA %s", n, pending,
+                             rate, timedelta(seconds=round((pending - n) / rate)))
                 if reject is None:
                     yield record
-                else:
-                    rejects.write(_jsonl(reject))
 
         write_dataset(records(), dataset_path, append=bool(done))
 

@@ -111,6 +111,7 @@ class ChatResponse:
     text: str
     finish_reason: str  # stop | length | error
     usage: dict | None = None
+    request_key: str | None = None  # set by complete(), so no caller hashes again
 
 
 def user_request(content: str, params: GenerationParams | None = None) -> ChatRequest:
@@ -209,13 +210,11 @@ class LLMClient:
     def complete(self, request: ChatRequest) -> ChatResponse:
         """Run one request; raises LLMError when no response can be produced."""
         key = request.request_key
-        if self.backend == "replay":
+        if self.backend == "replay" or (self.backend == "record" and key in self.cache):
             text, finish_reason = self.cache.get(key)
-            return ChatResponse(text=text, finish_reason=finish_reason)
-        if self.backend == "record" and key in self.cache:
-            text, finish_reason = self.cache.get(key)
-            return ChatResponse(text=text, finish_reason=finish_reason)
+            return ChatResponse(text=text, finish_reason=finish_reason, request_key=key)
         response = self._http_call(request)
+        response.request_key = key
         if self.backend == "record":
             self.cache.put(key, response.text, response.finish_reason)
         return response

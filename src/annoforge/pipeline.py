@@ -3,9 +3,14 @@
 Stage order is strict: summarize the document, reorganize it into structured
 JSON, derive per-document annotation guidelines (dataclass notation), then
 extract instances of those classes. Each stage's prompt renders only from
-earlier outputs plus the original document, every model call is audited as
-a StageRecord, and unparseable output triggers a bounded repair loop before
-the document is rejected.
+earlier outputs plus the original document, and unparseable output triggers
+a bounded repair loop before the document is rejected.
+
+Every model call is audited as a StageRecord that names its prompt instead
+of copying it: the request key, the template version and the prompt's
+length. A prompt is rebuilt by rendering its template from the document and
+the parsed responses of the document's earlier stages; a repair appends
+``REPAIR_SUFFIX`` with the previous attempt's ``error``.
 
 Documents are independent and run on ``2 * client.parallelism`` workers; one
 holds an endpoint slot only while its request is on the wire. Outcomes are
@@ -48,6 +53,8 @@ _PLACEHOLDER_RE = re.compile(r"\{(document|summary|structured_json|guidelines)\}
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n(.*?)```", re.DOTALL)
 
 MAX_PARSE_ATTEMPTS = 3  # first ask plus two repair re-asks
+REPAIR_SUFFIX = ("\n\nYour previous response could not be used ({error}). "
+                 "Answer again, following the required format exactly.")
 # Document workers per endpoint slot: a document waiting out a retry or doing
 # its own CPU work holds no slot, so one worker per slot leaves slots idle.
 DOC_WORKERS_PER_SLOT = 2
@@ -109,10 +116,14 @@ def default_templates() -> dict[str, PromptTemplate]:
 class StageRecord:
     doc_id: str
     stage: str
-    rendered_prompt: str
-    raw_response: str
-    parsed_ok: bool
     attempt: int
+    parsed_ok: bool
+    raw_response: str
+    request_key: str
+    template: str  # the stage template's version
+    prompt_chars: int
+    error: str | None  # what the response drew; the next re-ask quotes it
+    usage: dict | None  # token counts, from a live endpoint only
 
 
 @dataclass
@@ -126,33 +137,32 @@ class RejectEntry:
 Outcome = tuple[DatasetRecord | None, RejectEntry | None, list[StageRecord]]
 
 
-def _ask(client: LLMClient, prompt: str, parse, doc_id: str, stage: str,
+def _ask(client: LLMClient, tmpl: PromptTemplate, prompt: str, parse, doc_id: str,
          trail: list[StageRecord]):
     """Ask, parse, and re-ask with the parser's complaint appended on failure."""
+    error = None
     for attempt in range(1, MAX_PARSE_ATTEMPTS + 1):
-        rendered = prompt if attempt == 1 else (
-            f"{prompt}\n\nYour previous response could not be used "
-            f"({last_error}). Answer again, following the required format exactly.")
+        rendered = prompt if error is None else prompt + REPAIR_SUFFIX.format(error=error)
         try:
             response = client.complete(user_request(rendered, params=client.params))
         except LLMError as exc:
-            raise StageError(stage, doc_id, str(exc)) from exc
-        parsed_ok = False
+            raise StageError(tmpl.stage, doc_id, str(exc)) from exc
+        error = None
         if response.finish_reason == "length":
-            last_error = "response truncated by the token limit"
+            error = "response truncated by the token limit"
         else:
             try:
                 value = parse(response.text)
-                parsed_ok = True
             except (ParseError, ValueError) as exc:
-                last_error = str(exc)
-        trail.append(StageRecord(doc_id=doc_id, stage=stage,
-                                 rendered_prompt=rendered,
-                                 raw_response=response.text,
-                                 parsed_ok=parsed_ok, attempt=attempt))
-        if parsed_ok:
+                error = str(exc)
+        trail.append(StageRecord(doc_id=doc_id, stage=tmpl.stage, attempt=attempt,
+                                 parsed_ok=error is None, raw_response=response.text,
+                                 request_key=response.request_key,
+                                 template=tmpl.version, prompt_chars=len(rendered),
+                                 error=error, usage=response.usage))
+        if error is None:
             return value
-    raise StageError(stage, doc_id, last_error)
+    raise StageError(tmpl.stage, doc_id, error)
 
 
 def strip_fences(text: str) -> str:
@@ -169,7 +179,7 @@ def stage_summarize(doc: Document, tmpl: PromptTemplate, client: LLMClient,
         return text.strip()
 
     prompt = tmpl.render(document=doc.text)
-    return _ask(client, prompt, parse, doc.doc_id, "summarize", trail)
+    return _ask(client, tmpl, prompt, parse, doc.doc_id, trail)
 
 
 def _parse_structured(text: str) -> list[dict]:
@@ -231,7 +241,7 @@ def structured_to_json(structured: list[dict]) -> str:
 def stage_structure(doc: Document, summary: str, tmpl: PromptTemplate,
                     client: LLMClient, trail: list[StageRecord]) -> list[dict]:
     prompt = tmpl.render(document=doc.text, summary=summary)
-    return _ask(client, prompt, _parse_structured, doc.doc_id, "structure", trail)
+    return _ask(client, tmpl, prompt, _parse_structured, doc.doc_id, trail)
 
 
 def stage_guidelines(doc: Document, summary: str, structured: list[dict],
@@ -242,7 +252,7 @@ def stage_guidelines(doc: Document, summary: str, structured: list[dict],
 
     prompt = tmpl.render(document=doc.text, summary=summary,
                          structured_json=structured_to_json(structured))
-    return _ask(client, prompt, parse, doc.doc_id, "guidelines", trail)
+    return _ask(client, tmpl, prompt, parse, doc.doc_id, trail)
 
 
 def stage_instances(doc: Document, structured: list[dict], schema: Schema,
@@ -251,9 +261,8 @@ def stage_instances(doc: Document, structured: list[dict], schema: Schema,
     prompt = tmpl.render(document=doc.text,
                          structured_json=structured_to_json(structured),
                          guidelines=print_guidelines(schema))
-    return _ask(client, prompt,
-                lambda text: parse_instances(text, doc_id=doc.doc_id),
-                doc.doc_id, "instances", trail)
+    return _ask(client, tmpl, prompt,
+                lambda text: parse_instances(text, doc_id=doc.doc_id), doc.doc_id, trail)
 
 
 def truncate_document(text: str, max_chars: int | None) -> tuple[str, bool]:

@@ -40,6 +40,17 @@ def demo_client() -> ScriptedClient:
     return client
 
 
+def paris_client(client: ScriptedClient | None = None) -> ScriptedClient:
+    """Answers every stage of any document that names Paris."""
+    client = client or ScriptedClient()
+    client.add(SUMMARIZE, "- Paris: a city")
+    client.add(STRUCTURE, '[{"label": "City", "attributes": {"name": "Paris"}}]')
+    client.add(GUIDELINES, '@dataclass\nclass City:\n    """A city."""\n'
+                           "    name: str  # the name\n")
+    client.add(INSTANCES, '[City(name="Paris")]')
+    return client
+
+
 def collect(outcomes) -> tuple[list, list, list]:
     """``run_pipeline``'s stream as lists of records, rejects and trail entries."""
     records, rejects, trail = [], [], []

@@ -283,13 +283,14 @@ class RecordingClient:
         stage = next(s for s, opener in STAGE_OPENERS.items() if opener in prompt)
         doc = next(d for d in DOCS if d.text[:60] in prompt)
         text = RESPONSES[(doc.doc_id, stage)]
+        key = request.request_key
         with open(self.cache_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"request_key": request.request_key,
+            fh.write(json.dumps({"request_key": key,
                                  "response_text": text,
                                  "finish_reason": "stop"},
                                 ensure_ascii=False) + "\n")
         self.calls += 1
-        return ChatResponse(text=text, finish_reason="stop")
+        return ChatResponse(text=text, finish_reason="stop", request_key=key)
 
 
 def main():

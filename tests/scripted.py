@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from annoforge.llm import ChatResponse, GenerationParams, LLMError
 
 
@@ -32,7 +34,7 @@ class ScriptedClient:
         self.calls.append(prompt)
         for needles, response in self.rules:
             if all(n in prompt for n in needles):
-                return response
+                return replace(response, request_key=request.request_key)
         raise LLMError(f"no scripted response matches: {prompt[:120]!r}")
 
 

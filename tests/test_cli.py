@@ -19,9 +19,9 @@ import annoforge
 from annoforge.cli import main
 from annoforge.dataset import write_dataset
 from annoforge.llm import ChatMessage, ChatRequest, GenerationParams, ReplayCache, user_request
-from builders import stats_record
+from builders import paris_client, stats_record
 from chatserver import completion
-from scripted import GUIDELINES, INSTANCES, STRUCTURE, SUMMARIZE, ScriptedClient
+from scripted import ScriptedClient
 
 DATA = Path(__file__).parent / "data"
 CONFIG = DATA / "config.yaml"
@@ -66,6 +66,13 @@ def corrupted_dataset(tmp_path, field):
     path = tmp_path / "corrupt.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def cli_env() -> dict:
+    """The environment for a CLI subprocess that imports this annoforge."""
+    src = str(Path(annoforge.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 # -- generate -----------------------------------------------------------------
@@ -146,6 +153,14 @@ def test_resume_corrupt_middle_line_is_runtime_failure(runner, tmp_path):
     assert dataset.read_bytes() == b"".join(lines)
 
 
+def paris_corpus(tmp_path, n_docs):
+    """``n_docs`` short documents about Paris, and a config that reads them."""
+    with open(tmp_path / "docs.jsonl", "w", encoding="utf-8") as fh:
+        for i in range(n_docs):
+            fh.write(json.dumps({"id": f"d{i:02d}", "text": f"Paris, text {i}."}) + "\n")
+    (tmp_path / "cfg.yaml").write_text("corpus: docs.jsonl\n", encoding="utf-8")
+
+
 class SlowAfterFirst(ScriptedClient):
     """Answers the first document at once and every other one after a wait,
     so the writer fails while the next two are still in flight."""
@@ -160,16 +175,8 @@ def test_failed_write_stops_generate_early(runner, tmp_path, monkeypatch):
     """A writer error must not leave the queued documents running: on an
     HTTP backend each of them is paid model calls."""
     n_docs = 15
-    with open(tmp_path / "docs.jsonl", "w", encoding="utf-8") as fh:
-        for i in range(n_docs):
-            fh.write(json.dumps({"id": f"d{i:02d}", "text": f"Paris, text {i}."}) + "\n")
-    (tmp_path / "cfg.yaml").write_text("corpus: docs.jsonl\n", encoding="utf-8")
-    client = SlowAfterFirst()
-    client.add(SUMMARIZE, "- Paris: a city")
-    client.add(STRUCTURE, '[{"label": "City", "attributes": {"name": "Paris"}}]')
-    client.add(GUIDELINES, '@dataclass\nclass City:\n    """A city."""\n'
-                           "    name: str  # the name\n")
-    client.add(INSTANCES, '[City(name="Paris")]')
+    paris_corpus(tmp_path, n_docs)
+    client = paris_client(SlowAfterFirst())
     monkeypatch.setattr("annoforge.cli.build_client", lambda cfg: client)
 
     def full_disk(records, path, *, append=False):
@@ -234,9 +241,7 @@ def test_sigkill_then_resume_matches_an_uninterrupted_run(runner, tmp_path, chat
 
     chat_server.responder = stall_after_two
     killed = tmp_path / "killed"
-    src = str(Path(annoforge.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = cli_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "annoforge.cli", "--config", str(config),
          "--output-dir", str(killed), "generate"],
@@ -251,6 +256,11 @@ def test_sigkill_then_resume_matches_an_uninterrupted_run(runner, tmp_path, chat
         proc.kill()
         proc.wait(timeout=10)
     assert dataset.read_bytes().endswith(b"\n")  # each record is flushed whole
+    # and after its document's trail, which is on disk whole as well
+    trail = (killed / "trail.jsonl").read_bytes()
+    assert trail.endswith(b"\n")
+    assert [json.loads(line)["doc_id"] for line in trail.splitlines()] == \
+        [doc_id for doc_id in list(FIXTURE_DOCS)[:2] for _ in range(4)]
 
     with chat_server.state_lock:
         chat_server.seen.clear()
@@ -267,6 +277,62 @@ def test_sigkill_then_resume_matches_an_uninterrupted_run(runner, tmp_path, chat
                   "generate").exit_code == 0
     assert without_clock(dataset) == without_clock(whole / "dataset.jsonl")
     assert [r["doc_id"] for r in without_clock(dataset)[1:]] == list(FIXTURE_DOCS)
+
+
+def test_record_miss_writes_token_usage_to_the_trail(runner, tmp_path, chat_server):
+    chat_server.responder = fixture_reply
+    config = tmp_path / "record.yaml"
+    config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
+                      f"client: {{backend: record, base_url: {chat_server.base_url}, "
+                      "cache: cache.jsonl, model: fixture}\n", encoding="utf-8")
+
+    def trail_usage(out):
+        assert invoke(runner, "--config", config, "--output-dir", out,
+                      "generate").exit_code == 0
+        return [json.loads(line)["usage"]
+                for line in (out / "trail.jsonl").read_text(encoding="utf-8").splitlines()]
+
+    assert trail_usage(tmp_path / "miss") == [{"prompt_tokens": 7, "completion_tokens": 5}] * 20
+    assert len(chat_server.seen) == 20
+    # the cache keeps its format, so a hit has no usage to report
+    assert {tuple(sorted(json.loads(line))) for line in
+            (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()} == \
+        {("finish_reason", "request_key", "response_text")}
+    assert trail_usage(tmp_path / "hit") == [None] * 20
+    assert len(chat_server.seen) == 20
+
+
+def test_generate_logs_about_twenty_progress_lines(runner, tmp_path, monkeypatch, caplog):
+    paris_corpus(tmp_path, 40)
+    client = paris_client()
+    monkeypatch.setattr("annoforge.cli.build_client", lambda cfg: client)
+    with caplog.at_level(logging.INFO, logger="annoforge.cli"):
+        result = invoke(runner, "--config", tmp_path / "cfg.yaml",
+                        "--output-dir", tmp_path, "generate")
+    assert result.exit_code == 0, result.output + result.stderr
+    progress = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("progress:")]
+    assert 1 < len(progress) <= 20
+    assert progress[-1].startswith("progress: 40/40 documents, ")
+    assert "docs/s, ETA 0:00:00" in progress[-1]
+
+
+def test_quiet_hides_progress_and_changes_no_output(tmp_path):
+    env = cli_env()
+    outputs, stderr = [], []
+    for flags in ([], ["--quiet"]):
+        out = tmp_path / ("quiet" if flags else "loud")
+        result = subprocess.run(
+            [sys.executable, "-m", "annoforge.cli", *flags, "--config", str(CONFIG),
+             "--output-dir", str(out), "generate"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        stderr.append(result.stderr)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("dataset.jsonl", "trail.jsonl", "rejects.jsonl")])
+    assert "progress: 5/5 documents" in stderr[0]
+    assert "progress" not in stderr[1]
+    assert outputs[0] == outputs[1]
 
 
 def test_generate_without_resume_and_empty_cache_fails_all_docs(runner, tmp_path):
@@ -698,9 +764,7 @@ def test_offline_commands_load_neither_requests_nor_yaml(tmp_path):
     uses, only an HTTP call imports requests, and only --config yaml."""
     cache = tmp_path / "cache.jsonl"
     ReplayCache(cache).put(user_request("hello").request_key, "cached", "stop")
-    src = str(Path(annoforge.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = cli_env()
     result = subprocess.run(
         [sys.executable, "-c", OFFLINE_RUN, str(GOLDEN_DATASET), str(cache), "hello"],
         capture_output=True, text=True, env=env, timeout=60)

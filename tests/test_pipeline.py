@@ -112,7 +112,7 @@ def test_stage_summarize(tmp_path):
     assert summary == SUMMARY_TEXT
     assert len(trail) == 1
     assert (trail[0].stage, trail[0].attempt, trail[0].parsed_ok) == ("summarize", 1, True)
-    assert DOC.text in trail[0].rendered_prompt
+    assert DOC.text in client.calls[0]
 
 
 def test_stage_summarize_rejects_blank_after_repairs():
@@ -122,7 +122,7 @@ def test_stage_summarize_rejects_blank_after_repairs():
         stage_summarize(DOC, default_templates()["summarize"], client, trail)
     assert [r.attempt for r in trail] == [1, 2, 3]
     assert not any(r.parsed_ok for r in trail)
-    assert REPAIR in trail[1].rendered_prompt
+    assert REPAIR in client.calls[1]
 
 
 def test_truncated_response_is_retried():
@@ -133,7 +133,7 @@ def test_truncated_response_is_retried():
     summary = stage_summarize(DOC, default_templates()["summarize"], client, trail)
     assert summary == "complete summary"
     assert [r.parsed_ok for r in trail] == [False, True]
-    assert "truncated" in trail[1].rendered_prompt
+    assert "truncated" in client.calls[1]
 
 
 def test_stage_structure_parses_fenced_json():
@@ -144,7 +144,7 @@ def test_stage_structure_parses_fenced_json():
     assert [e["label"] for e in structured] == ["Framework", "Framework"]
     assert structured[0] == {"label": "Framework",
                              "attributes": {"name": "TensorFlow", "developer": "Google"}}
-    assert SUMMARY_TEXT in trail[0].rendered_prompt
+    assert SUMMARY_TEXT in client.calls[0]
 
 
 @pytest.mark.parametrize("payload,labels", [
@@ -198,7 +198,7 @@ def test_stage_guidelines_returns_raw_text_and_schema():
                                    default_templates()["guidelines"], client, trail)
     assert raw == GUIDELINE_TEXT  # verbatim, fences included
     assert [c.name for c in schema.classes] == ["Framework"]
-    assert '"label": "Framework"' in trail[0].rendered_prompt
+    assert '"label": "Framework"' in client.calls[1]  # after the structure call
 
 
 def test_stage_guidelines_surfaces_parse_errors():
@@ -226,7 +226,7 @@ def test_stage_instances_prompt_uses_canonical_guidelines():
                            client, trail)
     assert iset.doc_id == "ml-01"
     assert len(iset.instances) == 2
-    assert print_guidelines(schema) in trail[0].rendered_prompt
+    assert print_guidelines(schema) in client.calls[2]  # after structure, guidelines
 
 
 def test_stage_instances_empty_list_is_valid():
