@@ -36,7 +36,7 @@ from .evaluation import format_table, load_gold, load_predictions, score_benchma
 from .notation import parse_guidelines
 from .validation import GROUNDING_POLICIES, filter_instances
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("annoforge.cli")  # not __main__ under python -m
 
 
 def guarded(func):
@@ -160,7 +160,7 @@ def generate(ctx):
                 if reject is None:
                     yield record
 
-        write_dataset(records(), dataset_path, append=bool(done))
+        write_dataset(records(), dataset_path, append=bool(done), flush=True)
 
     total = len(done) + counts["records"]
     click.echo(f"generated {counts['records']} records "
@@ -191,7 +191,8 @@ def validate_cmd(ctx, dataset_path, grounding, out_path):
             counts["records"] += 1
             counts["dropped"] += len(record.instances.instances) - len(kept.instances)
             by_code.update(err.code.value for err in errors)
-            record.instances = kept
+            if errors:  # an instance was dropped; untouched, the set keeps its text
+                record.instances = kept
             record.validation = {**record.validation,
                                  "revalidated": policy,
                                  "kept_count": len(kept.instances)}

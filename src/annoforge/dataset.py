@@ -4,12 +4,17 @@ A dataset is a JSONL file: a header line carrying the format version, then
 one record per line. Records hold every stage output for one document plus
 the validation verdicts, so a dataset is auditable and the training emitter
 can re-check instances before writing supervised examples. ``generate``
-streams records into ``write_dataset``, which flushes each line, so a kill
-leaves at most a torn last line; ``resume_doc_ids`` cuts it. ``iter_dataset``
+streams records into ``write_dataset`` with ``flush=True``, so a kill leaves
+at most a torn last line; ``resume_doc_ids`` cuts it. ``iter_dataset``
 yields one record at a time and the analysis functions take any iterable, so
 a command holds one record, not the dataset. Each record's instance notation
 is parsed; its ``schema`` text only for callers that read it (with
 ``schema=False``, ``DatasetRecord.schema`` is ``None``).
+
+A record read from a file keeps its ``schema`` and ``instances`` text, and is
+written with that text while it holds the objects parsed from it. A new
+object (``validate`` dropped an instance), a record built in memory, or an
+instance list with prose around it is printed instead.
 
 Label statistics use exact rational arithmetic internally and round only
 when formatted. Overlap analysis compares dataset labels against benchmark
@@ -55,6 +60,15 @@ class DatasetRecord:
     instances: InstanceSet  # survivors of validation filtering
     validation: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    # (parsed object, the text it was read from), for each one read from a file
+    source: list = field(default_factory=list, compare=False, repr=False)
+
+    def text_of(self, parsed: Schema | InstanceSet, printer) -> str:
+        """The text ``parsed`` was read from, if this record read it; else printed."""
+        for held, text in self.source:
+            if held is parsed:
+                return text
+        return printer(parsed)
 
 
 def record_to_dict(record: DatasetRecord) -> dict:
@@ -64,8 +78,8 @@ def record_to_dict(record: DatasetRecord) -> dict:
         "summary": record.summary,
         "structured": record.structured,
         "guidelines": record.guidelines_text,
-        "schema": print_guidelines(record.schema),
-        "instances": print_instances(record.instances),
+        "schema": record.text_of(record.schema, print_guidelines),
+        "instances": record.text_of(record.instances, print_instances),
         "validation": record.validation,
         "meta": record.meta,
     }
@@ -73,7 +87,7 @@ def record_to_dict(record: DatasetRecord) -> dict:
 
 def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
     doc_id = data["doc_id"]
-    return DatasetRecord(
+    record = DatasetRecord(
         doc_id=doc_id,
         document=data["document"],
         summary=data["summary"],
@@ -86,22 +100,29 @@ def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
         validation=data.get("validation", {}),
         meta=data.get("meta", {}),
     )
+    record.source = [(record.schema, data["schema"])] if schema else []
+    if record.instances.span == (0, len(data["instances"])):  # no prose around the list
+        record.source.append((record.instances, data["instances"]))
+    return record
 
 
 def write_dataset(records: Iterable[DatasetRecord], path: str | Path, *,
-                  append: bool = False) -> None:
-    """Write records one flushed line at a time, after a header unless appending."""
+                  append: bool = False, flush: bool = False) -> None:
+    """Write records one line each, after a header unless appending; with
+    ``flush``, each line is on disk before the next record is drawn."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a" if append else "w", encoding="utf-8") as fh:
         if not append:
             fh.write(json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION},
                                 sort_keys=True) + "\n")
-            fh.flush()
+            if flush:
+                fh.flush()
         for record in records:
             fh.write(json.dumps(record_to_dict(record), sort_keys=True,
                                 ensure_ascii=False) + "\n")
-            fh.flush()
+            if flush:
+                fh.flush()
 
 
 def iter_dataset(path: str | Path, *, schema: bool = True) -> Iterator[DatasetRecord]:
@@ -329,8 +350,9 @@ def emit_training_examples(records: Iterable[DatasetRecord], path: str | Path) -
                 continue
             example = {
                 "doc_id": record.doc_id,
-                "input": print_guidelines(record.schema) + "\n\n" + record.document,
-                "target": print_instances(record.instances),
+                "input": record.text_of(record.schema, print_guidelines) + "\n\n"
+                + record.document,
+                "target": record.text_of(record.instances, print_instances),
             }
             fh.write(json.dumps(example, sort_keys=True, ensure_ascii=False) + "\n")
             written += 1

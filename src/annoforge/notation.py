@@ -43,7 +43,7 @@ end of the input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TEXT = "text"
 TEXT_LIST = "text_list"
@@ -125,6 +125,8 @@ class InstanceSet:
 
     doc_id: str
     instances: list[EntityInstance]
+    # where the list literal sat in the parsed text, as (start, end) offsets
+    span: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
 def _indent_width(line: str) -> int:
@@ -355,7 +357,7 @@ def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
             pos = _WS_RE.match(text, pos + 1).end()
         elif not text.startswith("]", pos):
             raise _error(text, pos, "expected ',' or ']'")
-    return InstanceSet(doc_id=doc_id, instances=instances)
+    return InstanceSet(doc_id=doc_id, instances=instances, span=(start, pos + 1))
 
 
 def _parse_value(text: str, pos: int) -> tuple[str | list[str], int]:

@@ -16,10 +16,12 @@ import pytest
 from click.testing import CliRunner
 
 import annoforge
+import annoforge.dataset
 from annoforge.cli import main
 from annoforge.dataset import write_dataset
 from annoforge.llm import ChatMessage, ChatRequest, GenerationParams, ReplayCache, user_request
-from builders import paris_client, stats_record
+from annoforge.notation import EntityInstance, print_instances
+from builders import make_records, paris_client, stats_record
 from chatserver import completion
 from scripted import ScriptedClient
 
@@ -179,7 +181,7 @@ def test_failed_write_stops_generate_early(runner, tmp_path, monkeypatch):
     client = paris_client(SlowAfterFirst())
     monkeypatch.setattr("annoforge.cli.build_client", lambda cfg: client)
 
-    def full_disk(records, path, *, append=False):
+    def full_disk(records, path, *, append=False, flush=False):
         next(iter(records))
         raise OSError("No space left on device")
 
@@ -330,7 +332,8 @@ def test_quiet_hides_progress_and_changes_no_output(tmp_path):
         stderr.append(result.stderr)
         outputs.append([(out / name).read_bytes()
                         for name in ("dataset.jsonl", "trail.jsonl", "rejects.jsonl")])
-    assert "progress: 5/5 documents" in stderr[0]
+    # the CLI's own logger name, also when it runs as __main__
+    assert "INFO annoforge.cli: progress: 5/5 documents" in stderr[0]
     assert "progress" not in stderr[1]
     assert outputs[0] == outputs[1]
 
@@ -448,6 +451,102 @@ def test_failed_run_leaves_the_previous_output(runner, tmp_path, command):
     assert f"{dataset}:4: corrupt record" in result.stderr
     assert out.read_bytes() == b"previous output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out.jsonl"]
+
+
+# A record read from a dataset writes back the schema and instances text it
+# was read from; only an object that changed is printed again.
+
+def counted_printers(monkeypatch) -> dict:
+    """Count the calls to the printers that ``annoforge.dataset`` binds."""
+    counts = {}
+    for name in ("print_guidelines", "print_instances"):
+        printer = getattr(annoforge.dataset, name)
+        counts[name] = 0
+
+        def counting(parsed, name=name, printer=printer):
+            counts[name] += 1
+            return printer(parsed)
+
+        monkeypatch.setattr(annoforge.dataset, name, counting)
+    return counts
+
+
+def test_printers_run_only_for_changed_objects(runner, tmp_path, monkeypatch):
+    n, k = 6, 2
+    records = []
+    for i in range(n):
+        record = make_records()[i % 2]
+        record.doc_id = f"{record.doc_id}-{i}"
+        if i < k:  # one instance the document does not contain
+            cls = record.schema.classes[0].name
+            record.instances.instances.append(EntityInstance(cls, {"name": "Nowhere"}))
+        records.append(record)
+    dataset = tmp_path / "canonical.jsonl"
+    write_dataset(records, dataset)
+    written = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()[1:]]
+
+    counts = counted_printers(monkeypatch)
+    result = invoke(runner, "validate", dataset, "--out", tmp_path / "filtered.jsonl")
+    assert result.exit_code == 1
+    assert f"dropped {k} instances across {n} records" in result.output
+    assert counts == {"print_guidelines": 0, "print_instances": k}
+    filtered = [json.loads(line) for line in
+                (tmp_path / "filtered.jsonl").read_text(encoding="utf-8").splitlines()[1:]]
+    for i, (before, after) in enumerate(zip(written, filtered)):
+        assert after["schema"] == before["schema"]
+        if i < k:  # the survivors are printed, not the text that was read
+            records[i].instances.instances.pop()
+            assert after["instances"] == print_instances(records[i].instances)
+            assert after["instances"] != before["instances"]
+        else:
+            assert after["instances"] == before["instances"]
+
+    for source in (dataset, tmp_path / "filtered.jsonl"):
+        counts.update(print_guidelines=0, print_instances=0)
+        result = invoke(runner, "emit-train", source, "--out", tmp_path / "train.jsonl")
+        assert f"wrote {n - k if source == dataset else n} of {n}" in result.output
+        assert counts == {"print_guidelines": 0, "print_instances": 0}
+
+
+def hand_edited(tmp_path, **fields) -> Path:
+    """A one-record dataset (the Paris document) with ``fields`` replaced."""
+    path = tmp_path / "edited.jsonl"
+    write_dataset(make_records()[1:], path)
+    header, line = path.read_text(encoding="utf-8").splitlines()
+    line = json.dumps({**json.loads(line), **fields}, sort_keys=True, ensure_ascii=False)
+    path.write_text(header + "\n" + line + "\n", encoding="utf-8")
+    return path
+
+
+def written_back(runner, tmp_path, dataset) -> tuple[dict, dict]:
+    """The record ``validate`` writes and the example ``emit-train`` writes."""
+    for command, out in (("validate", "filtered.jsonl"), ("emit-train", "train.jsonl")):
+        result = invoke(runner, command, dataset, "--out", tmp_path / out)
+        assert result.exit_code == 0, result.output + result.stderr
+    return tuple(json.loads((tmp_path / out).read_text(encoding="utf-8").splitlines()[-1])
+                 for out in ("filtered.jsonl", "train.jsonl"))
+
+
+@pytest.mark.parametrize("text", [
+    'Here: [City(name="Paris")] ok',
+    '[City(name="Paris")] see [1]',
+    'Here: [City(name="Paris")]',
+    ' [City(name="Paris")]\n',
+])
+def test_prose_around_the_instance_list_is_not_written_back(runner, tmp_path, text):
+    record, example = written_back(runner, tmp_path, hand_edited(tmp_path, instances=text))
+    assert record["instances"] == example["target"] == '[City(name="Paris")]'
+
+
+def test_a_whole_non_canonical_record_is_written_back_verbatim(runner, tmp_path):
+    schema = ('@dataclass\n@frozen\nclass City:\n    """A city."""\n\n'
+              "    name:str # the name\n")
+    instances = "[ City(name='Paris'), ]"
+    record, example = written_back(
+        runner, tmp_path, hand_edited(tmp_path, schema=schema, instances=instances))
+    assert record["schema"] == schema
+    assert record["instances"] == example["target"] == instances
+    assert example["input"].startswith(schema + "\n\n")
 
 
 def built_dataset(path: Path, n: int) -> Path:

@@ -220,6 +220,7 @@ def test_equality_ignores_source_info():
     a = parse_instances("  " + INSTANCES, doc_id="d")
     b = parse_instances(INSTANCES + "\ntrailing", doc_id="d")
     assert a == b
+    assert (a.span, b.span) == ((2, 2 + len(INSTANCES)), (0, len(INSTANCES)))
     s1 = parse_guidelines(GUIDELINES)
     s2 = parse_guidelines(GUIDELINES + "\n")
     assert s1 == s2
@@ -343,13 +344,20 @@ def instance_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(schemas())
 def test_schema_round_trip_property(schema):
-    assert parse_guidelines(print_guidelines(schema)) == schema
+    text = print_guidelines(schema)
+    assert parse_guidelines(text) == schema
+    # printed text is a fixed point, so a dataset may write back the text it read
+    assert print_guidelines(parse_guidelines(text)) == text
 
 
 @settings(max_examples=200, deadline=None)
 @given(instance_sets())
 def test_instance_round_trip_property(iset):
-    assert parse_instances(print_instances(iset), doc_id="d") == iset
+    text = print_instances(iset)
+    parsed = parse_instances(text, doc_id="d")
+    assert parsed == iset
+    assert print_instances(parsed) == text
+    assert parsed.span == (0, len(text))  # the printed list is the whole text
 
 
 # -- differential test against the reference parser ----------------------------
