@@ -25,6 +25,7 @@ from .config import ConfigError, RunConfig, build_client, build_templates, load_
 from .dataset import (
     compute_overlap,
     compute_stats,
+    cut_torn_line,
     dataset_labels,
     emit_training_examples,
     iter_dataset,
@@ -127,8 +128,9 @@ def generate(ctx):
     out = cfg.output_dir
     dataset_path = out / "dataset.jsonl"
 
+    resume = ctx.obj.get("resume")
     done = []
-    if ctx.obj.get("resume") and dataset_path.exists():
+    if resume and dataset_path.exists():
         done = resume_doc_ids(dataset_path)
         log.info("resuming: %d records already present", len(done))
     skip = set(done)
@@ -139,9 +141,15 @@ def generate(ctx):
                             skip_ids=skip)
     counts: Counter[str] = Counter()
     out.mkdir(parents=True, exist_ok=True)
+    # a resume appends, keeping the audit of earlier runs; a document that runs
+    # again (it was rejected) has its new lines after its old ones
+    audit_mode = "a" if resume else "w"
+    for name in ("trail.jsonl", "rejects.jsonl"):
+        if resume and (out / name).exists():
+            cut_torn_line(out / name)
     # closing, so a failed write cancels the documents not yet started
-    with closing(outcomes), open(out / "trail.jsonl", "w", encoding="utf-8") as trail, \
-            open(out / "rejects.jsonl", "w", encoding="utf-8") as rejects:
+    with closing(outcomes), open(out / "trail.jsonl", audit_mode, encoding="utf-8") as trail, \
+            open(out / "rejects.jsonl", audit_mode, encoding="utf-8") as rejects:
 
         def records():
             start = time.monotonic()

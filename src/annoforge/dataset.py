@@ -5,11 +5,12 @@ one record per line. Records hold every stage output for one document plus
 the validation verdicts, so a dataset is auditable and the training emitter
 can re-check instances before writing supervised examples. ``generate``
 streams records into ``write_dataset`` with ``flush=True``, so a kill leaves
-at most a torn last line; ``resume_doc_ids`` cuts it. ``iter_dataset``
-yields one record at a time and the analysis functions take any iterable, so
-a command holds one record, not the dataset. Each record's instance notation
-is parsed; its ``schema`` text only for callers that read it (with
-``schema=False``, ``DatasetRecord.schema`` is ``None``).
+at most a torn last line; ``resume_doc_ids`` cuts it, and ``cut_torn_line``
+cuts one from the trail and the rejects. ``iter_dataset`` yields one record
+at a time and the analysis functions take any iterable, so a command holds
+one record, not the dataset. Each record's instance notation is parsed; its
+``schema`` text only for callers that read it (with ``schema=False``,
+``DatasetRecord.schema`` is ``None``).
 
 A record read from a file keeps its ``schema`` and ``instances`` text, and is
 written with that text while it holds the objects parsed from it. A new
@@ -155,6 +156,17 @@ def resume_doc_ids(path: str | Path) -> list[str]:
         return []
     with open(path, "r+b") as fh:
         return list(_decode(_complete_lines(fh, path), path, itemgetter("doc_id")))
+
+
+def cut_torn_line(path: str | Path) -> None:
+    """Cut a last line without its newline, so a line appended next starts its own.
+
+    ``generate --resume`` appends to the trail and the rejects through this.
+    """
+    path = Path(path)
+    with open(path, "r+b") as fh:
+        for _ in _complete_lines(fh, path):
+            pass
 
 
 def _complete_lines(fh, path: Path) -> Iterator[bytes]:

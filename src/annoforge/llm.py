@@ -1,12 +1,16 @@
 """Chat-completion client with retries and record/replay caching.
 
-A retryable HTTP reply (429 or 5xx) is retried after its ``Retry-After`` delay
-(capped at the timeout); without a usable one, after ``backoff_base * 2**(n-1)``.
-``requests`` is imported by the first HTTP call, not with this module, so the
-replay backend and the offline commands never load it.
+Requests go out through the standard library's ``urllib.request``, one
+connection per request. A retryable HTTP reply (429 or 5xx) is retried after
+its ``Retry-After`` delay (capped at the timeout); without a usable one, after
+``backoff_base * 2**(n-1)``. A transport failure (no connection, a timeout, a
+reply cut short or not HTTP at all) is retried with the same backoff.
+``urllib.request`` is imported by the first HTTP call, not with this module, so
+the replay backend and the offline commands never load it.
 
 ``parallelism`` bounds the requests in flight: a call holds a slot only while
-``requests.post`` runs, never across a retry wait, parsing or a cache write.
+its request is sent and its reply read, never across a retry wait, parsing or
+a cache write.
 
 Three backends share one interface:
 
@@ -31,16 +35,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from urllib.parse import urlsplit
 
-if TYPE_CHECKING:
-    import requests
+from . import __version__
 
 log = logging.getLogger(__name__)
 
 BACKENDS = ("http", "replay", "record")
 API_KEY_VARS = ("ANNOFORGE_API_KEY", "OPENAI_API_KEY")
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+USER_AGENT = f"annoforge/{__version__}"  # not urllib's default, which some gateways block
 
 
 class LLMError(Exception):
@@ -190,6 +194,8 @@ class LLMClient:
             raise ValueError(f"unknown backend {backend!r}")
         if backend in ("http", "record") and not base_url:
             raise ValueError(f"backend {backend!r} needs a base_url")
+        if backend in ("http", "record") and urlsplit(base_url).scheme not in ("http", "https"):
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
         if backend in ("replay", "record") and not cache_path:
             raise ValueError(f"backend {backend!r} needs a cache_path")
         if max_attempts < 1:
@@ -220,7 +226,7 @@ class LLMClient:
         return response
 
     def _http_call(self, request: ChatRequest) -> ChatResponse:
-        import requests
+        import http.client
 
         body = {
             "model": request.params.model_name,
@@ -230,7 +236,8 @@ class LLMClient:
             "top_p": request.params.top_p,
             "max_tokens": request.params.max_new_tokens,
         }
-        headers = {"Content-Type": "application/json"}
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        headers = {"Content-Type": "application/json", "User-Agent": USER_AGENT}
         api_key = next((os.environ[v] for v in API_KEY_VARS if os.environ.get(v)), None)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -239,17 +246,18 @@ class LLMClient:
             wait = self.backoff_base * 2 ** (attempt - 1)
             try:
                 with self._slots:  # released before any retry wait
-                    resp = requests.post(url, json=body, headers=headers,
-                                         timeout=self.timeout)
-            except requests.RequestException as exc:
+                    status, reply_headers, reply = _post(url, data, headers, self.timeout)
+            # OSError covers refused connections, timeouts and resets; HTTPException
+            # a reply cut short (IncompleteRead) or not HTTP at all (BadStatusLine)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport error: {exc}"
             else:
-                if resp.status_code == 200:
-                    return self._parse_response(resp)
-                last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if resp.status_code not in RETRYABLE_STATUS:
+                if status == 200:
+                    return self._parse_response(reply)
+                last_error = f"HTTP {status}: {reply.decode('utf-8', 'replace')[:200]}"
+                if status not in RETRYABLE_STATUS:
                     raise LLMError(last_error)
-                retry_after = _delta_seconds(resp.headers.get("Retry-After"))
+                retry_after = _delta_seconds(reply_headers.get("Retry-After"))
                 if retry_after is not None:
                     wait = min(retry_after, self.timeout)
             if attempt < self.max_attempts:
@@ -257,9 +265,9 @@ class LLMClient:
         raise LLMError(f"giving up after {self.max_attempts} attempts; {last_error}")
 
     @staticmethod
-    def _parse_response(resp: requests.Response) -> ChatResponse:
+    def _parse_response(reply: bytes) -> ChatResponse:
         try:
-            payload = resp.json()
+            payload = json.loads(reply)
             choice = payload["choices"][0]
             text = choice["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
@@ -270,6 +278,23 @@ class LLMClient:
             finish_reason="length" if finish_reason == "length" else "stop",
             usage=payload.get("usage"),
         )
+
+
+def _post(url: str, data: bytes, headers: dict, timeout: float):
+    """POST ``data``; the reply's status, headers and whole body, its connection closed.
+
+    An HTTP error status is a reply like any other here, not an exception.
+    """
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    try:
+        reply = urllib.request.urlopen(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        reply = exc
+    with reply:
+        return reply.status, reply.headers, reply.read()
 
 
 def _delta_seconds(value: str | None) -> float | None:

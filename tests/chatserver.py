@@ -18,10 +18,12 @@ def completion(text: str, finish_reason: str = "stop") -> dict:
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(length)
+        payload = json.loads(raw) if length else {}
         with self.server.state_lock:
+            # headers stay a message, so a lookup ignores the case of the name
             self.server.seen.append({"path": self.path, "payload": payload,
-                                     "headers": dict(self.headers)})
+                                     "body": raw, "headers": self.headers})
         status, body, *extra = self.server.responder(payload)
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)

@@ -15,9 +15,13 @@ def chat_server():
 
 @pytest.fixture
 def no_network(monkeypatch):
-    """Make any outgoing HTTP attempt blow up loudly."""
+    """Make any outgoing HTTP connection attempt blow up loudly.
+
+    The client sends through ``urllib.request``, which opens every connection,
+    HTTPS included, with ``http.client.HTTPConnection.connect``.
+    """
 
     def forbidden(*args, **kwargs):
         raise AssertionError("network I/O attempted")
 
-    monkeypatch.setattr("requests.sessions.Session.request", forbidden)
+    monkeypatch.setattr("http.client.HTTPConnection.connect", forbidden)

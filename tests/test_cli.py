@@ -95,6 +95,8 @@ def test_generate_reports_counts(runner, tmp_path):
 def test_generate_resume_skips_completed_docs(runner, tmp_path, no_network):
     dataset = generate_into(runner, tmp_path)
     before = dataset.read_bytes()
+    trail = (tmp_path / "trail.jsonl").read_bytes()
+    assert trail.count(b"\n") == 20
 
     # the resumed run must not need the model at all: point it at an empty
     # cache, where any request would fail with a replay miss
@@ -108,6 +110,9 @@ def test_generate_resume_skips_completed_docs(runner, tmp_path, no_network):
     assert result.exit_code == 0, result.output + result.stderr
     assert "generated 0 records (5 total, 0 rejected)" in result.output
     assert dataset.read_bytes() == before
+    # the audit of the first run survives the resume
+    assert (tmp_path / "trail.jsonl").read_bytes() == trail
+    assert (tmp_path / "rejects.jsonl").read_bytes() == b""
 
 
 def test_resume_cuts_a_torn_last_line(runner, tmp_path, caplog):
@@ -118,6 +123,10 @@ def test_resume_cuts_a_torn_last_line(runner, tmp_path, caplog):
     # cache lines 9-20 answer documents 3-5 only: a re-run of 1-2 would reject
     cache = (DATA / "cache.jsonl").read_bytes().splitlines(keepends=True)
     (tmp_path / "part-cache.jsonl").write_bytes(b"".join(cache[8:20]))
+    # the trail and the rejects of the killed run, each torn the same way
+    earlier = b'{"doc_id": "earlier"}\n'
+    for name in ("trail.jsonl", "rejects.jsonl"):
+        (tmp_path / name).write_bytes(earlier + b'{"doc_id": "ear')
     config = tmp_path / "part.yaml"
     config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
                       "client: {backend: replay, cache: part-cache.jsonl, model: fixture}\n",
@@ -129,6 +138,13 @@ def test_resume_cuts_a_torn_last_line(runner, tmp_path, caplog):
     assert "generated 3 records (5 total, 0 rejected)" in result.output
     assert dataset.read_bytes() == GOLDEN_DATASET.read_bytes()
     assert f"{dataset}:4: dropping torn last line" in caplog.text
+    trail = (tmp_path / "trail.jsonl").read_bytes().splitlines(keepends=True)
+    assert trail[0] == earlier and len(trail) == 1 + 3 * 4
+    assert [json.loads(line)["doc_id"] for line in trail[1:]] == \
+        [doc_id for doc_id in list(FIXTURE_DOCS)[2:] for _ in range(4)]
+    assert (tmp_path / "rejects.jsonl").read_bytes() == earlier
+    for name in ("trail.jsonl", "rejects.jsonl"):
+        assert f"{tmp_path / name}:2: dropping torn last line" in caplog.text
 
 
 @pytest.mark.parametrize("kept_lines", [1, 0], ids=["header-only", "empty"])
@@ -273,6 +289,9 @@ def test_sigkill_then_resume_matches_an_uninterrupted_run(runner, tmp_path, chat
     assert resumed.exit_code == 0, resumed.output + resumed.stderr
     assert "generated 3 records (5 total, 0 rejected)" in resumed.output
     assert not first_two & {doc_of(s["payload"]) for s in chat_server.seen}
+    trail = (killed / "trail.jsonl").read_bytes().splitlines()
+    assert [json.loads(line)["doc_id"] for line in trail] == \
+        [doc_id for doc_id in FIXTURE_DOCS for _ in range(4)]
 
     whole = tmp_path / "whole"
     assert invoke(runner, "--config", config, "--output-dir", whole,
@@ -854,13 +873,14 @@ print(sorted(name for name in generate_only if name in sys.modules))
 from annoforge.llm import LLMClient, user_request
 client = LLMClient(backend="replay", cache_path=cache)
 assert client.complete(user_request(prompt)).text == "cached"
-print(sorted(name for name in ("requests", "yaml") if name in sys.modules))
+http_stack = ("http.client", "requests", "urllib.request")
+print(sorted(name for name in (*http_stack, "yaml") if name in sys.modules))
 """
 
 
-def test_offline_commands_load_neither_requests_nor_yaml(tmp_path):
+def test_offline_commands_load_no_http_client_nor_yaml(tmp_path):
     """Start-up cost: the analysis commands load no module only generate
-    uses, only an HTTP call imports requests, and only --config yaml."""
+    uses, only an HTTP call imports the HTTP client, and only --config yaml."""
     cache = tmp_path / "cache.jsonl"
     ReplayCache(cache).put(user_request("hello").request_key, "cached", "stop")
     env = cli_env()

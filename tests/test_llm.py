@@ -3,11 +3,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import socketserver
 import threading
 import time
 
 import pytest
 
+import annoforge
 from annoforge.llm import (
     ChatMessage,
     ChatRequest,
@@ -145,6 +147,16 @@ def test_client_config_validation(tmp_path):
         LLMClient(backend="replay")
 
 
+@pytest.mark.parametrize("base_url", ["localhost:8000", "ftp://host", "file:///etc"])
+def test_base_url_must_be_http(base_url):
+    # urllib would read file: and ftp: URLs, and reject one without a scheme
+    # before any request; fail at start-up instead
+    with pytest.raises(ValueError, match="must be an http:// or https:// URL"):
+        LLMClient(backend="http", base_url=base_url)
+    with pytest.raises(ValueError, match="must be an http:// or https:// URL"):
+        LLMClient(backend="record", base_url=base_url, cache_path="unused.jsonl")
+
+
 def test_zero_parallelism_is_rejected():
     # a zero-slot semaphore would block every HTTP call forever
     with pytest.raises(ValueError, match="parallelism must be >= 1"):
@@ -177,6 +189,13 @@ def test_replay_miss_names_key(tmp_path, no_network):
     assert exc.value.request_key == req.request_key
 
 
+def test_no_network_guard_trips_on_an_http_call(chat_server, no_network):
+    client = LLMClient(backend="http", base_url=chat_server.base_url)
+    with pytest.raises(AssertionError, match="network I/O attempted"):
+        client.complete(user_request("ping"))
+    assert chat_server.seen == []
+
+
 def test_http_complete(chat_server):
     client = LLMClient(backend="http", base_url=chat_server.base_url)
     response = client.complete(user_request("ping"))
@@ -189,6 +208,20 @@ def test_http_complete(chat_server):
     assert sent["payload"]["temperature"] == 0.7
     assert sent["payload"]["top_p"] == 0.95
     assert sent["payload"]["max_tokens"] == 1024
+
+
+def test_request_shape(chat_server):
+    client = LLMClient(backend="http", base_url=chat_server.base_url)
+    client.complete(user_request("Grüße"))
+    sent = chat_server.seen[0]
+    headers = sent["headers"]
+    assert headers["User-Agent"] == f"annoforge/{annoforge.__version__}"
+    assert headers["Content-Type"] == "application/json"
+    body = {"model": "default", "messages": [{"role": "user", "content": "Grüße"}],
+            "temperature": 0.7, "top_p": 0.95, "max_tokens": 1024}
+    # the bytes json.dumps writes by default, so request sizes stay comparable
+    assert sent["body"] == json.dumps(body).encode()
+    assert int(headers["Content-Length"]) == len(json.dumps(body).encode())
 
 
 def test_api_key_header(chat_server, monkeypatch):
@@ -296,6 +329,47 @@ def test_transport_error_keeps_exponential_backoff(sleeps):
                        backoff_base=5, timeout=1)
     with pytest.raises(LLMError, match="giving up after 3 attempts; transport error"):
         client.complete(user_request("x"))
+    assert sleeps == [5, 10]
+
+
+class _RawReply(socketserver.StreamRequestHandler):
+    """Read one request whole, then write the server's ``reply`` bytes as they are."""
+
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.server.connections += 1
+        self.wfile.write(self.server.reply)
+
+
+@pytest.fixture
+def raw_server():
+    server = socketserver.TCPServer(("127.0.0.1", 0), _RawReply)
+    server.reply, server.connections = b"", 0
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 100\r\n\r\n{\"choices\": [",
+    b"garbage\r\n\r\n",
+    b"",
+], ids=["body-cut-short", "garbage-status-line", "closed-without-reply"])
+def test_broken_replies_are_retried_as_transport_errors(raw_server, sleeps, reply):
+    raw_server.reply = reply
+    host, port = raw_server.server_address
+    client = LLMClient(backend="http", base_url=f"http://{host}:{port}",
+                       backoff_base=5, timeout=5)
+    with pytest.raises(LLMError, match="^giving up after 3 attempts; transport error: "):
+        client.complete(user_request("x"))
+    assert raw_server.connections == 3
     assert sleeps == [5, 10]
 
 
