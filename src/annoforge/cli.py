@@ -119,7 +119,7 @@ def _replacing(out: Path):
 @guarded
 def generate(ctx):
     """Run the four-stage pipeline over the corpus and write the dataset."""
-    from .pipeline import run_pipeline  # here: only generate needs it
+    from .pipeline import config_meta, run_pipeline  # here: only generate needs it
 
     cfg = _load_cfg(ctx)
     docs = load_docs(cfg, seed=ctx.obj.get("seed"))
@@ -131,7 +131,7 @@ def generate(ctx):
     resume = ctx.obj.get("resume")
     done = []
     if resume and dataset_path.exists():
-        done = resume_doc_ids(dataset_path)
+        done = resume_doc_ids(dataset_path, config_meta(templates, client))
         log.info("resuming: %d records already present", len(done))
     skip = set(done)
     pending = sum(doc.doc_id not in skip for doc in docs)
@@ -320,7 +320,8 @@ def eval_cmd(gold_dir, pred_dir, matching, schema_path, as_json):
         log.warning("no predictions for %s; scoring as empty", gold_file.name)
         return golds, []
 
-    # a generator, so each suite is scored and let go before the next loads
+    # generators both: each suite is scored and let go before the next loads,
+    # and score reads its predictions one line at a time
     suites = ((gold_file.stem, load_suite(gold_file)) for gold_file in gold_files)
     report = score_benchmarks(suites, matching=matching)
     if as_json:

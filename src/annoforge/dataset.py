@@ -29,9 +29,9 @@ import logging
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 
+from .config import ConfigError
 from .notation import (
     InstanceSet,
     Schema,
@@ -144,18 +144,45 @@ def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord
     return list(iter_dataset(path, schema=schema))
 
 
-def resume_doc_ids(path: str | Path) -> list[str]:
+def resume_doc_ids(path: str | Path, meta: dict) -> list[str]:
     """The ``doc_id`` of each complete record line, for ``generate --resume``.
 
-    Only the JSON is decoded, never the notation. A last line without its
-    newline, a write cut short, is cut from the file with a warning. An
-    empty file, left by a kill before the header, holds no records.
+    Only the JSON is decoded, never the notation. Each record's ``meta`` must
+    hold every value of ``meta``, the resuming run's templates and model
+    nested as a record holds them: a record made otherwise raises
+    ``ConfigError`` naming the file and line, the differing key and both
+    values. A last line without its newline, a write cut short, is cut from
+    the file with a warning. An empty file, left by a kill before the
+    header, holds no records.
     """
+    def doc_id(record: dict) -> str:
+        differs = _first_difference(record.get("meta"), meta, "meta")
+        if differs:
+            key, found, wanted = differs
+            raise ConfigError(f"cannot resume: {key} is {found!r} in the dataset "
+                              f"but {wanted!r} in this run")
+        return record["doc_id"]
+
     path = Path(path)
     if path.stat().st_size == 0:
         return []
     with open(path, "r+b") as fh:
-        return list(_decode(_complete_lines(fh, path), path, itemgetter("doc_id")))
+        return list(_decode(_complete_lines(fh, path), path, doc_id))
+
+
+def _first_difference(found, expected: dict, prefix: str) -> tuple | None:
+    """(dotted key, found value, expected value) of the first leaf of
+    ``expected`` that ``found`` does not hold, or None."""
+    for key, wanted in expected.items():
+        name = f"{prefix}.{key}"
+        value = found.get(key) if isinstance(found, dict) else None
+        if isinstance(wanted, dict):
+            differs = _first_difference(value, wanted, name)
+            if differs:
+                return differs
+        elif value != wanted:
+            return name, value, wanted
+    return None
 
 
 def cut_torn_line(path: str | Path) -> None:
@@ -200,6 +227,8 @@ def _decode(lines: Iterable, path: Path, decode) -> Iterator:
     for lineno, line in numbered:
         try:
             yield decode(json.loads(line))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: corrupt record ({exc})") from exc
 

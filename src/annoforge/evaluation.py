@@ -2,26 +2,31 @@
 
 The matching unit is a (label, span text) pair without character offsets,
 under multiset semantics: within one example, each gold mention can satisfy
-at most one predicted mention. ``score`` counts this in one pass per
-example: it counts the gold keys, lets each prediction use up one count
-(a true positive) or else count as a false positive, and takes the counts
-left over as false negatives. ``exact`` matching compares surface strings
-verbatim and is the default for reported numbers; ``normalized`` folds case
-and collapses whitespace in the span text (labels always compare exactly).
-``score_benchmarks`` scores each suite as an iterable yields it, so ``eval``
-holds one suite's examples at a time.
+at most one predicted mention. ``score`` keys the gold examples by id, then
+reads the predictions once, as they arrive: it counts the prediction's gold
+keys, lets each predicted mention use up one count (a true positive) or else
+count as a false positive, and takes the counts left over as false
+negatives. ``exact`` matching compares surface strings verbatim and is the
+default for reported numbers; ``normalized`` folds case and collapses
+whitespace in the span text (labels always compare exactly).
+``load_predictions`` yields one prediction per line and ``score_benchmarks``
+scores each suite as an iterable yields it, so ``eval`` holds one suite's
+gold examples and one prediction at a time.
 
 Unparseable model outputs score as empty predictions rather than aborting,
 so evaluation stays total over a benchmark. A line that is not a well-formed
 gold example or prediction (bad JSON, no ``id``, a mention without ``label``
 or ``span``, an ``output`` that is not a string) raises ``ValueError``
-naming the file and line. All 0/0 ratios are defined as 0.
+naming the file and line. A prediction file is checked as it is scored: a
+corrupt line, a duplicate id or an unknown id raises when the stream reaches
+it, so of several such faults the earliest in the file is reported. All 0/0
+ratios are defined as 0.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,11 +85,15 @@ class BenchmarkReport:
     macro_f1: float
 
 
-def score(golds: list[GoldExample], preds: list[Prediction],
+def score(golds: Iterable[GoldExample], preds: Iterable[Prediction],
           matching: str = "exact") -> EvalResult:
     """Micro P/R/F1 over all examples, with a per-label breakdown.
 
-    Predictions for unknown example ids are an error; gold examples with no
+    ``golds`` is read whole and keyed by id; ``preds`` is read once, one
+    prediction at a time, so a generator over a prediction file is scored
+    while it is read and only the current prediction is held. A duplicate
+    gold id raises before any prediction is drawn; a duplicate or unknown
+    prediction id raises when the stream reaches it. Gold examples with no
     prediction are scored against an empty mention set. Within an example,
     each predicted mention takes one unmatched gold mention with the same
     (label, span) key if one is left (a tp) and is otherwise an fp; the gold
@@ -98,25 +107,25 @@ def score(golds: list[GoldExample], preds: list[Prediction],
         if g.example_id in gold_by_id:
             raise ValueError(f"duplicate example_id {g.example_id!r} in golds")
         gold_by_id[g.example_id] = g
-    pred_by_id: dict[str, Prediction] = {}
-    for p in preds:
-        if p.example_id in pred_by_id:
-            raise ValueError(f"duplicate example_id {p.example_id!r} in predictions")
-        if p.example_id not in gold_by_id:
-            raise ValueError(f"prediction for unknown example_id {p.example_id!r}")
-        pred_by_id[p.example_id] = p
 
     canon = normalize_span if matching == "normalized" else (lambda span: span)
     tp: dict[str, int] = {}
     fp: dict[str, int] = {}
     fn: dict[str, int] = {}
-    for eid, gold in gold_by_id.items():
+    predicted: set[str] = set()
+    for pred in preds:
+        eid = pred.example_id
+        if eid in predicted:
+            raise ValueError(f"duplicate example_id {eid!r} in predictions")
+        gold = gold_by_id.get(eid)
+        if gold is None:
+            raise ValueError(f"prediction for unknown example_id {eid!r}")
+        predicted.add(eid)
         unmatched: dict[Mention, int] = {}
         for label, span in gold.mentions:
             key = (label, canon(span))
             unmatched[key] = unmatched.get(key, 0) + 1
-        pred = pred_by_id.get(eid)
-        for label, span in (pred.mentions if pred else ()):
+        for label, span in pred.mentions:
             key = (label, canon(span))
             left = unmatched.get(key)
             if left:
@@ -127,6 +136,10 @@ def score(golds: list[GoldExample], preds: list[Prediction],
         for (label, _), left in unmatched.items():
             if left:
                 fn[label] = fn.get(label, 0) + left
+    for eid, gold in gold_by_id.items():
+        if eid not in predicted:
+            for label, _ in gold.mentions:
+                fn[label] = fn.get(label, 0) + 1
 
     breakdown = {label: EvalResult.from_counts(tp.get(label, 0), fp.get(label, 0),
                                                fn.get(label, 0))
@@ -143,7 +156,8 @@ def macro_average(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
-def score_benchmarks(suites: Iterable[tuple[str, tuple[list[GoldExample], list[Prediction]]]],
+def score_benchmarks(suites: Iterable[tuple[str, tuple[list[GoldExample],
+                                                       Iterable[Prediction]]]],
                      matching: str = "exact") -> BenchmarkReport:
     """Score each ``(name, (golds, preds))`` suite as it arrives; macro-average the F1."""
     per_dataset = {}
@@ -215,14 +229,14 @@ def load_gold(path: str | Path) -> list[GoldExample]:
     return examples
 
 
-def load_predictions(path: str | Path, schema: Schema | None = None) -> list[Prediction]:
-    """Read a prediction JSONL file.
+def load_predictions(path: str | Path, schema: Schema | None = None) -> Iterator[Prediction]:
+    """Yield each prediction of a JSONL file as its line is read.
 
     Each line carries either ``output`` (raw model text, parsed as instance
     notation; a parse failure yields an empty mention set) or a pre-parsed
-    ``mentions`` list in the gold format.
+    ``mentions`` list in the gold format. A corrupt line raises when it is
+    reached, after the predictions before it were yielded.
     """
-    preds = []
     for lineno, line in _lines(path):
         try:
             record = json.loads(line)
@@ -241,8 +255,7 @@ def load_predictions(path: str | Path, schema: Schema | None = None) -> list[Pre
                     mentions = mentions_from_instances(iset, schema)
         except _CORRUPT as exc:
             raise ValueError(f"{path}:{lineno}: corrupt prediction ({exc})") from exc
-        preds.append(Prediction(example_id=eid, mentions=mentions))
-    return preds
+        yield Prediction(example_id=eid, mentions=mentions)
 
 
 def format_table(rows: list[tuple[str, EvalResult]], macro: float | None = None) -> str:

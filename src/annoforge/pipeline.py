@@ -244,22 +244,21 @@ def stage_structure(doc: Document, summary: str, tmpl: PromptTemplate,
     return _ask(client, tmpl, prompt, _parse_structured, doc.doc_id, trail)
 
 
-def stage_guidelines(doc: Document, summary: str, structured: list[dict],
+def stage_guidelines(doc: Document, summary: str, structured_json: str,
                      tmpl: PromptTemplate, client: LLMClient,
                      trail: list[StageRecord]) -> tuple[str, Schema]:
     def parse(text: str):
         return text, parse_guidelines(strip_fences(text))
 
     prompt = tmpl.render(document=doc.text, summary=summary,
-                         structured_json=structured_to_json(structured))
+                         structured_json=structured_json)
     return _ask(client, tmpl, prompt, parse, doc.doc_id, trail)
 
 
-def stage_instances(doc: Document, structured: list[dict], schema: Schema,
+def stage_instances(doc: Document, structured_json: str, schema: Schema,
                     tmpl: PromptTemplate, client: LLMClient,
                     trail: list[StageRecord]) -> InstanceSet:
-    prompt = tmpl.render(document=doc.text,
-                         structured_json=structured_to_json(structured),
+    prompt = tmpl.render(document=doc.text, structured_json=structured_json,
                          guidelines=print_guidelines(schema))
     return _ask(client, tmpl, prompt,
                 lambda text: parse_instances(text, doc_id=doc.doc_id), doc.doc_id, trail)
@@ -275,6 +274,12 @@ def truncate_document(text: str, max_chars: int | None) -> tuple[str, bool]:
     if split_mid_word and any(c.isspace() for c in cut.strip()):
         cut = cut.rsplit(None, 1)[0]
     return cut, True
+
+
+def config_meta(templates: dict[str, PromptTemplate], client: LLMClient) -> dict:
+    """The part of a record's ``meta`` the run's config sets; ``--resume`` checks it."""
+    return {"templates": {stage: templates[stage].version for stage in STAGES},
+            "model": client.params.model_name}
 
 
 def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
@@ -300,9 +305,11 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
             summary = stage_summarize(doc, templates["summarize"], client, trail)
             structured = stage_structure(doc, summary, templates["structure"],
                                          client, trail)
+            # rendered once: the guidelines and instances prompts both quote it
+            structured_json = structured_to_json(structured)
             guidelines_text, schema = stage_guidelines(
-                doc, summary, structured, templates["guidelines"], client, trail)
-            raw_instances = stage_instances(doc, structured, schema,
+                doc, summary, structured_json, templates["guidelines"], client, trail)
+            raw_instances = stage_instances(doc, structured_json, schema,
                                             templates["instances"], client, trail)
         except StageError as exc:
             return None, RejectEntry(doc_id=doc.doc_id, stage=exc.stage,
@@ -332,8 +339,7 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
                             "message": e.message} for e in errors],
             },
             meta={
-                "templates": {stage: templates[stage].version for stage in STAGES},
-                "model": client.params.model_name,
+                **config_meta(templates, client),
                 "backend": client.backend,
                 "truncated": truncated,
                 "grounding": grounding,

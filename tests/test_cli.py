@@ -1,6 +1,5 @@
 """End-to-end command tests against the committed replay fixtures."""
 
-import gc
 import json
 import logging
 import os
@@ -9,7 +8,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,8 +19,10 @@ from annoforge.cli import main
 from annoforge.dataset import write_dataset
 from annoforge.llm import ChatMessage, ChatRequest, GenerationParams, ReplayCache, user_request
 from annoforge.notation import EntityInstance, print_instances
+from annoforge.pipeline import PromptTemplate, default_templates
 from builders import make_records, paris_client, stats_record
 from chatserver import completion
+from memory import traced_peak
 from scripted import ScriptedClient
 
 DATA = Path(__file__).parent / "data"
@@ -113,6 +113,33 @@ def test_generate_resume_skips_completed_docs(runner, tmp_path, no_network):
     # the audit of the first run survives the resume
     assert (tmp_path / "trail.jsonl").read_bytes() == trail
     assert (tmp_path / "rejects.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize("key", ["meta.templates.instances", "meta.model"])
+def test_resume_refuses_records_of_another_config(runner, tmp_path, key):
+    """A resume must not append records of other templates or another model."""
+    dataset = generate_into(runner, tmp_path)
+    before = {name: (tmp_path / name).read_bytes()
+              for name in ("dataset.jsonl", "trail.jsonl", "rejects.jsonl")}
+    instances = default_templates()["instances"]
+    edited = PromptTemplate("instances", instances.template_text + "\nBe exact.\n")
+    (tmp_path / "instances.txt").write_text(edited.template_text, encoding="utf-8")
+    model, templates, found, wanted = {
+        "meta.templates.instances": ("fixture", "templates: {instances: instances.txt}\n",
+                                     instances.version, edited.version),
+        "meta.model": ("other", "", "fixture", "other"),
+    }[key]
+    config = tmp_path / "changed.yaml"
+    config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
+                      f"client: {{backend: replay, cache: {DATA / 'cache.jsonl'}, "
+                      f"model: {model}}}\n{templates}", encoding="utf-8")
+    result = invoke(runner, "--config", config, "--output-dir", tmp_path,
+                    "--resume", "generate")
+    assert result.exit_code == 2, result.output + result.stderr
+    assert (f"{dataset}:2: cannot resume: {key} is {found!r} in the dataset "
+            f"but {wanted!r} in this run") in result.stderr
+    for name, content in before.items():
+        assert (tmp_path / name).read_bytes() == content, name
 
 
 def test_resume_cuts_a_torn_last_line(runner, tmp_path, caplog):
@@ -591,21 +618,44 @@ def test_analysis_memory_does_not_grow_with_the_dataset(runner, tmp_path):
         for args in (["validate", dataset, "--out", tmp_path / "filtered.jsonl"],
                      ["stats", dataset],
                      ["emit-train", dataset, "--out", tmp_path / "train.jsonl"]):
-            gc.collect()  # garbage of an earlier run, freed mid-run, would lower the peak
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            assert invoke(runner, *args).exit_code == 0
-            found[args[0]] = tracemalloc.get_traced_memory()[1] - before
+            result, found[args[0]] = traced_peak(invoke, runner, *args)
+            assert result.exit_code == 0, result.output + result.stderr
         return found
 
     peaks(built_dataset(tmp_path / "warm.jsonl", 5))  # first-call caches, lazy imports
-    tracemalloc.start()
-    try:
-        base, grown = peaks(small), peaks(large)
-    finally:
-        tracemalloc.stop()
+    base, grown = peaks(small), peaks(large)
     for command, peak in grown.items():
         assert peak < 1.5 * base[command], (command, base[command], peak)
+
+
+def eval_suite(tmp_path: Path, name: str, n_examples: int, pred_mentions: int) -> tuple:
+    """A gold suite of one-mention examples, and predictions of ``pred_mentions`` each."""
+    gold, pred = tmp_path / name / "gold", tmp_path / name / "pred"
+    gold.mkdir(parents=True)
+    pred.mkdir()
+    with open(gold / "suite.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"id": i, "text": f"entity {i}",
+                                  "mentions": [{"label": "A", "span": f"entity {i}"}]})
+                      + "\n" for i in range(n_examples))
+    with open(pred / "suite.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps({"id": i, "mentions": [
+            {"label": "A", "span": f"entity {i}-{k}"} for k in range(pred_mentions)]})
+            + "\n" for i in range(n_examples))
+    return gold, pred
+
+
+def test_eval_memory_does_not_grow_with_the_prediction_file(runner, tmp_path):
+    """eval holds a suite's gold examples and one prediction, not every prediction."""
+
+    def peak(gold, pred):
+        result, found = traced_peak(invoke, runner, "eval", gold, pred, "--json")
+        assert result.exit_code == 0, result.output + result.stderr
+        return found
+
+    peak(*eval_suite(tmp_path, "warm", 5, 1))  # first-call caches, lazy imports
+    base = peak(*eval_suite(tmp_path, "one", 400, 1))
+    grown = peak(*eval_suite(tmp_path, "forty", 400, 40))
+    assert grown < 1.5 * base, (base, grown)
 
 
 # stats and overlap never read a record's schema, so they do not parse it:

@@ -7,6 +7,7 @@ import pytest
 
 from annoforge import evaluation
 from annoforge.evaluation import (
+    MATCHING_MODES,
     EvalResult,
     GoldExample,
     Prediction,
@@ -165,6 +166,24 @@ def test_scorer_agrees_with_brute_force(matching):
     assert differs_from_exact == (matching == "normalized")
 
 
+def test_score_reads_one_shot_generators():
+    """score draws each iterable once, so a stream over a file can feed it."""
+    rng = random.Random(42)
+    for _ in range(150):
+        golds, preds = random_suite(rng)
+        for matching in MATCHING_MODES:
+            streamed = score(iter(golds), iter(preds), matching=matching)
+            assert streamed == score(golds, preds, matching=matching)
+            assert (streamed.tp, streamed.fp, streamed.fn) == \
+                oracle_counts(golds, preds, matching)
+    with pytest.raises(ValueError, match="duplicate example_id '1' in golds"):
+        score(iter([ex("1"), ex("1")]), iter([]))
+    with pytest.raises(ValueError, match="duplicate example_id '1' in predictions"):
+        score(iter([ex("1")]), iter([pr("1"), pr("1")]))
+    with pytest.raises(ValueError, match="unknown example_id '9'"):
+        score(iter([ex("1")]), iter([pr("9")]))
+
+
 def test_score_benchmarks_macro():
     suites = {
         "one": ([ex("1", ("A", "x"))], [pr("1", ("A", "x"))]),      # F1 = 1
@@ -277,7 +296,7 @@ def test_load_gold_and_predictions(tmp_path):
         json.dumps({"id": 2, "output": "no brackets at all"}),
         json.dumps({"id": 3, "mentions": [{"label": "Prize", "span": "Nobel"}]}),
     ]) + "\n")
-    preds = load_predictions(pred_path, SCHEMA)
+    preds = list(load_predictions(pred_path, SCHEMA))
     assert preds[0].mentions == [("Scientist", "Curie")]
     assert preds[1].mentions == []  # parse failure scores as empty
     assert preds[2].mentions == [("Prize", "Nobel")]

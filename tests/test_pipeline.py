@@ -19,6 +19,7 @@ from annoforge.pipeline import (
     stage_structure,
     stage_summarize,
     strip_fences,
+    structured_to_json,
     truncate_document,
 )
 from builders import collect
@@ -192,9 +193,9 @@ def test_stage_structure_repair_loop_recovers():
 def test_stage_guidelines_returns_raw_text_and_schema():
     client = scripted_for()
     trail = []
-    structured = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
-                                 client, [])
-    raw, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured,
+    structured_json = structured_to_json(stage_structure(
+        DOC, SUMMARY_TEXT, default_templates()["structure"], client, []))
+    raw, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured_json,
                                    default_templates()["guidelines"], client, trail)
     assert raw == GUIDELINE_TEXT  # verbatim, fences included
     assert [c.name for c in schema.classes] == ["Framework"]
@@ -206,23 +207,24 @@ def test_stage_guidelines_surfaces_parse_errors():
            '@dataclass\nclass A:\n    """D."""\n    y: str  # c\n')
     client = ScriptedClient().add(GUIDELINES, bad)
     with pytest.raises(StageError, match="duplicate class name"):
-        stage_guidelines(DOC, "s", _structured(client), default_templates()["guidelines"],
-                         client, [])
+        stage_guidelines(DOC, "s", _structured_json(client),
+                         default_templates()["guidelines"], client, [])
 
 
-def _structured(client):
+def _structured_json(client):
     client.add(STRUCTURE, '[{"label": "A", "attributes": {"x": "y"}}]')
-    return stage_structure(DOC, "s", default_templates()["structure"], client, [])
+    return structured_to_json(
+        stage_structure(DOC, "s", default_templates()["structure"], client, []))
 
 
 def test_stage_instances_prompt_uses_canonical_guidelines():
     client = scripted_for()
-    structured = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
-                                 client, [])
-    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured,
+    structured_json = structured_to_json(stage_structure(
+        DOC, SUMMARY_TEXT, default_templates()["structure"], client, []))
+    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured_json,
                                  default_templates()["guidelines"], client, [])
     trail = []
-    iset = stage_instances(DOC, structured, schema, default_templates()["instances"],
+    iset = stage_instances(DOC, structured_json, schema, default_templates()["instances"],
                            client, trail)
     assert iset.doc_id == "ml-01"
     assert len(iset.instances) == 2
@@ -232,11 +234,11 @@ def test_stage_instances_prompt_uses_canonical_guidelines():
 def test_stage_instances_empty_list_is_valid():
     client = ScriptedClient().add(INSTANCES, "No entities apply here: []")
     schema_client = scripted_for()
-    structured = stage_structure(DOC, SUMMARY_TEXT, default_templates()["structure"],
-                                 schema_client, [])
-    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured,
+    structured_json = structured_to_json(stage_structure(
+        DOC, SUMMARY_TEXT, default_templates()["structure"], schema_client, []))
+    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured_json,
                                  default_templates()["guidelines"], schema_client, [])
-    iset = stage_instances(DOC, structured, schema, default_templates()["instances"],
+    iset = stage_instances(DOC, structured_json, schema, default_templates()["instances"],
                            client, [])
     assert iset.instances == []
 
