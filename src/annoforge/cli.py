@@ -7,7 +7,7 @@ records); 2 usage or configuration error; 3 runtime failure.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import logging
 import os
@@ -19,82 +19,30 @@ from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
 
-import click
-
+# every command loads config and validation (dataset and evaluation import
+# them), so only these two are imported here; each command imports the rest
 from .config import ConfigError, RunConfig, build_client, build_templates, load_config, load_docs
-from .dataset import (
-    compute_overlap,
-    compute_stats,
-    cut_torn_line,
-    dataset_labels,
-    emit_training_examples,
-    iter_dataset,
-    load_labelspaces,
-    resume_doc_ids,
-    write_dataset,
-)
-from .evaluation import format_table, load_gold, load_predictions, score_benchmarks
-from .notation import parse_guidelines
-from .validation import GROUNDING_POLICIES, filter_instances
+from .validation import GROUNDING_POLICIES
 
 log = logging.getLogger("annoforge.cli")  # not __main__ under python -m
 
 
-def guarded(func):
-    """Map failures onto the documented exit codes."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except SystemExit:
-            raise
-        except (ConfigError, FileNotFoundError, click.UsageError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(2) from exc
-        except Exception as exc:
-            click.echo(f"runtime failure: {exc}", err=True)
-            raise SystemExit(3) from exc
-
-    return wrapper
-
-
-@click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="Run configuration file (YAML).")
-@click.option("--output-dir", type=click.Path(), default=None,
-              help="Override the configured output directory.")
-@click.option("--seed", type=int, default=None,
-              help="Override the configured sampling seed.")
-@click.option("--resume", is_flag=True,
-              help="Skip documents already present in the output dataset.")
-@click.option("--quiet", is_flag=True, help="Only warnings and errors.")
-@click.pass_context
-def main(ctx, config_path, output_dir, seed, resume, quiet):
-    """Generate, validate, describe, and score schema-guided annotations."""
-    logging.basicConfig(level=logging.WARNING if quiet else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
-    ctx.obj = {"config_path": config_path, "output_dir": output_dir,
-               "seed": seed, "resume": resume}
-
-
-def _load_cfg(ctx) -> RunConfig:
-    path = ctx.obj.get("config_path")
-    if path is None:
+def _load_cfg(opts: argparse.Namespace) -> RunConfig:
+    if opts.config_path is None:
         raise ConfigError("this command needs --config")
-    cfg = load_config(path)
-    if ctx.obj.get("output_dir"):
-        cfg.output_dir = Path(ctx.obj["output_dir"])
+    cfg = load_config(opts.config_path)
+    if opts.output_dir:
+        cfg.output_dir = Path(opts.output_dir)
     return cfg
 
 
-def _resolve_dataset(ctx, dataset_path: str | None) -> Path:
-    if dataset_path is not None:
-        return Path(dataset_path)
-    if ctx.obj.get("output_dir"):
-        return Path(ctx.obj["output_dir"]) / "dataset.jsonl"
-    if ctx.obj.get("config_path"):
-        return _load_cfg(ctx).output_dir / "dataset.jsonl"
+def _resolve_dataset(opts: argparse.Namespace) -> Path:
+    if opts.dataset_path is not None:
+        return Path(opts.dataset_path)
+    if opts.output_dir:
+        return Path(opts.output_dir) / "dataset.jsonl"
+    if opts.config_path:
+        return _load_cfg(opts).output_dir / "dataset.jsonl"
     raise ConfigError("give a dataset path, or --config/--output-dir to locate one")
 
 
@@ -114,24 +62,22 @@ def _replacing(out: Path):
         tmp.unlink(missing_ok=True)
 
 
-@main.command()
-@click.pass_context
-@guarded
-def generate(ctx):
+def generate(opts: argparse.Namespace) -> int:
     """Run the four-stage pipeline over the corpus and write the dataset."""
-    from .pipeline import config_meta, run_pipeline  # here: only generate needs it
+    from .dataset import cut_torn_line, resume_doc_ids, write_dataset
+    from .pipeline import config_meta, run_pipeline
 
-    cfg = _load_cfg(ctx)
-    docs = load_docs(cfg, seed=ctx.obj.get("seed"))
+    cfg = _load_cfg(opts)
+    docs = load_docs(cfg, seed=opts.seed)
     templates = build_templates(cfg)
     client = build_client(cfg)
     out = cfg.output_dir
     dataset_path = out / "dataset.jsonl"
 
-    resume = ctx.obj.get("resume")
+    resume = opts.resume
     done = []
     if resume and dataset_path.exists():
-        done = resume_doc_ids(dataset_path, config_meta(templates, client))
+        done = resume_doc_ids(dataset_path, config_meta(templates, client, cfg.grounding))
         log.info("resuming: %d records already present", len(done))
     skip = set(done)
     pending = sum(doc.doc_id not in skip for doc in docs)
@@ -171,29 +117,24 @@ def generate(ctx):
         write_dataset(records(), dataset_path, append=bool(done), flush=True)
 
     total = len(done) + counts["records"]
-    click.echo(f"generated {counts['records']} records "
-               f"({total} total, {counts['rejects']} rejected) -> {dataset_path}")
-    raise SystemExit(0 if total >= 1 else 1)
+    print(f"generated {counts['records']} records "
+          f"({total} total, {counts['rejects']} rejected) -> {dataset_path}")
+    return 0 if total >= 1 else 1
 
 
-@main.command("validate")
-@click.argument("dataset_path", required=False, type=click.Path())
-@click.option("--grounding", type=click.Choice(GROUNDING_POLICIES), default=None,
-              help="Override the policy the records were generated with.")
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Where to write the filtered dataset.")
-@click.pass_context
-@guarded
-def validate_cmd(ctx, dataset_path, grounding, out_path):
+def validate_cmd(opts: argparse.Namespace) -> int:
     """Re-validate a dataset and write the filtered survivors."""
-    path = _resolve_dataset(ctx, dataset_path)
-    out = Path(out_path) if out_path else path.with_name(path.stem + ".filtered.jsonl")
+    from .dataset import iter_dataset, write_dataset
+    from .validation import filter_instances
+
+    path = _resolve_dataset(opts)
+    out = Path(opts.out_path) if opts.out_path else path.with_name(path.stem + ".filtered.jsonl")
     by_code: Counter[str] = Counter()
     counts: Counter[str] = Counter()
 
     def revalidated():
         for record in iter_dataset(path):
-            policy = grounding or record.meta.get("grounding", "normalized")
+            policy = opts.grounding or record.meta.get("grounding", "normalized")
             kept, errors = filter_instances(record.instances, record.schema,
                                             record.document, grounding=policy)
             counts["records"] += 1
@@ -209,77 +150,63 @@ def validate_cmd(ctx, dataset_path, grounding, out_path):
     with _replacing(out) as tmp:
         write_dataset(revalidated(), tmp)
     for code in sorted(by_code):
-        click.echo(f"{code}: {by_code[code]}")
-    click.echo(f"dropped {counts['dropped']} instances across {counts['records']} "
-               f"records -> {out}")
-    raise SystemExit(1 if counts["dropped"] else 0)
+        print(f"{code}: {by_code[code]}")
+    print(f"dropped {counts['dropped']} instances across {counts['records']} "
+          f"records -> {out}")
+    return 1 if counts["dropped"] else 0
 
 
-@main.command()
-@click.argument("dataset_path", required=False, type=click.Path())
-@click.option("--top", "k", type=click.IntRange(min=1), default=10,
-              show_default=True, help="Rows in the top/bottom label tables.")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-@click.pass_context
-@guarded
-def stats(ctx, dataset_path, k, as_json):
+def stats(opts: argparse.Namespace) -> int:
     """Label statistics over a dataset."""
-    result = compute_stats(iter_dataset(_resolve_dataset(ctx, dataset_path), schema=False))
-    if as_json:
-        click.echo(json.dumps(result.to_dict(k), indent=2))
-        return
-    click.echo(f"documents               {result.n_docs}")
-    click.echo(f"unique labels           {result.unique_label_count}")
-    click.echo(f"distinct labels per doc {float(result.avg_distinct_labels_per_doc):.2f}")
-    click.echo(f"annotations per doc     {float(result.avg_annotations_per_doc):.2f}")
+    from .dataset import compute_stats, iter_dataset
+
+    result = compute_stats(iter_dataset(_resolve_dataset(opts), schema=False))
+    if opts.as_json:
+        print(json.dumps(result.to_dict(opts.top), indent=2))
+        return 0
+    print(f"documents               {result.n_docs}")
+    print(f"unique labels           {result.unique_label_count}")
+    print(f"distinct labels per doc {float(result.avg_distinct_labels_per_doc):.2f}")
+    print(f"annotations per doc     {float(result.avg_annotations_per_doc):.2f}")
     if result.annotation_frequency:
-        click.echo("top labels:")
-        for label, count in result.top(k):
-            click.echo(f"  {count:6d}  {label}")
-        click.echo("bottom labels:")
-        for label, count in result.bottom(k):
-            click.echo(f"  {count:6d}  {label}")
+        print("top labels:")
+        for label, count in result.top(opts.top):
+            print(f"  {count:6d}  {label}")
+        print("bottom labels:")
+        for label, count in result.bottom(opts.top):
+            print(f"  {count:6d}  {label}")
+    return 0
 
 
-@main.command()
-@click.argument("dataset_path", required=False, type=click.Path())
-@click.option("--labels", "labelspace_dir", type=click.Path(exists=True),
-              required=True, help="Directory of <benchmark>.<split>.txt files.")
-@click.option("--case-insensitive", is_flag=True,
-              help="Fold case when matching labels.")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-@click.pass_context
-@guarded
-def overlap(ctx, dataset_path, labelspace_dir, case_insensitive, as_json):
+def overlap(opts: argparse.Namespace) -> int:
     """Coverage of benchmark label spaces by the dataset's labels."""
-    records = iter_dataset(_resolve_dataset(ctx, dataset_path), schema=False)
+    from .dataset import compute_overlap, dataset_labels, iter_dataset, load_labelspaces
+
+    records = iter_dataset(_resolve_dataset(opts), schema=False)
     results = compute_overlap(dataset_labels(records),
-                              load_labelspaces(labelspace_dir),
-                              case_insensitive=case_insensitive)
-    if as_json:
-        click.echo(json.dumps([{
+                              load_labelspaces(opts.labelspace_dir),
+                              case_insensitive=opts.case_insensitive)
+    if opts.as_json:
+        print(json.dumps([{
             "benchmark": r.benchmark, "split": r.split,
             "gold_labels": r.gold_label_count, "matched": r.matched_count,
             "coverage": round(float(r.coverage), 4),
         } for r in results], indent=2))
-        return
+        return 0
     width = max(len(f"{r.benchmark}.{r.split}") for r in results)
     for r in results:
         name = f"{r.benchmark}.{r.split}"
-        click.echo(f"{name:{width}}  {r.matched_count:4d} / {r.gold_label_count:4d}"
-                   f"  ({100 * float(r.coverage):5.1f}%)")
+        print(f"{name:{width}}  {r.matched_count:4d} / {r.gold_label_count:4d}"
+              f"  ({100 * float(r.coverage):5.1f}%)")
+    return 0
 
 
-@main.command("emit-train")
-@click.argument("dataset_path", required=False, type=click.Path())
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Training file to write (default: train.jsonl beside the dataset).")
-@click.pass_context
-@guarded
-def emit_train(ctx, dataset_path, out_path):
+def emit_train(opts: argparse.Namespace) -> int:
     """Emit supervised training examples in the code-style format."""
-    path = _resolve_dataset(ctx, dataset_path)
-    out = Path(out_path) if out_path else path.with_name("train.jsonl")
+    from .dataset import emit_training_examples, iter_dataset
+
+    path = _resolve_dataset(opts)
+    out = Path(opts.out_path) if opts.out_path else path.with_name("train.jsonl")
     counts: Counter[str] = Counter()
 
     def counted():
@@ -289,31 +216,25 @@ def emit_train(ctx, dataset_path, out_path):
 
     with _replacing(out) as tmp:
         written = emit_training_examples(counted(), tmp)
-    click.echo(f"wrote {written} of {counts['records']} examples -> {out}")
-    raise SystemExit(0 if written == counts["records"] else 1)
+    print(f"wrote {written} of {counts['records']} examples -> {out}")
+    return 0 if written == counts["records"] else 1
 
 
-@main.command("eval")
-@click.argument("gold_dir", type=click.Path(exists=True))
-@click.argument("pred_dir", type=click.Path(exists=True))
-@click.option("--matching", type=click.Choice(["exact", "normalized"]),
-              default="exact", show_default=True)
-@click.option("--schema", "schema_path", type=click.Path(exists=True), default=None,
-              help="Guidelines file used to pick each class's mention field.")
-@click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
-@guarded
-def eval_cmd(gold_dir, pred_dir, matching, schema_path, as_json):
+def eval_cmd(opts: argparse.Namespace) -> int:
     """Score predictions against gold files paired by name."""
-    schema = (parse_guidelines(Path(schema_path).read_text(encoding="utf-8"))
-              if schema_path else None)
-    gold_files = sorted(Path(gold_dir).glob("*.jsonl"))
+    from .evaluation import format_table, load_gold, load_predictions, score_benchmarks
+    from .notation import parse_guidelines
+
+    schema = (parse_guidelines(Path(opts.schema_path).read_text(encoding="utf-8"))
+              if opts.schema_path else None)
+    gold_files = sorted(Path(opts.gold_dir).glob("*.jsonl"))
     if not gold_files:
-        raise ConfigError(f"no gold files in {gold_dir}")
+        raise ConfigError(f"no gold files in {opts.gold_dir}")
     missing = []
 
     def load_suite(gold_file: Path):
         golds = load_gold(gold_file)
-        pred_file = Path(pred_dir) / gold_file.name
+        pred_file = Path(opts.pred_dir) / gold_file.name
         if pred_file.exists():
             return golds, load_predictions(pred_file, schema)
         missing.append(gold_file.name)
@@ -323,18 +244,128 @@ def eval_cmd(gold_dir, pred_dir, matching, schema_path, as_json):
     # generators both: each suite is scored and let go before the next loads,
     # and score reads its predictions one line at a time
     suites = ((gold_file.stem, load_suite(gold_file)) for gold_file in gold_files)
-    report = score_benchmarks(suites, matching=matching)
-    if as_json:
-        click.echo(json.dumps({
+    report = score_benchmarks(suites, matching=opts.matching)
+    if opts.as_json:
+        print(json.dumps({
             "per_dataset": {name: r.to_dict()
                             for name, r in report.per_dataset.items()},
             "macro_f1": report.macro_f1,
         }, indent=2))
     else:
         rows = [(name, report.per_dataset[name]) for name in sorted(report.per_dataset)]
-        click.echo(format_table(rows, macro=report.macro_f1))
-    raise SystemExit(1 if missing else 0)
+        print(format_table(rows, macro=report.macro_f1))
+    return 1 if missing else 0
+
+
+def _existing_path(value: str) -> str:
+    if not os.path.exists(value):
+        raise argparse.ArgumentTypeError(f"path {value!r} does not exist")
+    return value
+
+
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a valid integer") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{number} is not >= 1")
+    return number
+
+
+# --help only, no -h, and no abbreviated options: the surface the CLI has always had
+PARSER_SETTINGS = {"add_help": False, "allow_abbrev": False}
+
+
+def _with_help(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def build_parser(prog: str | None = None) -> argparse.ArgumentParser:
+    """The command line: global options, then one subcommand with its own."""
+    parser = _with_help(argparse.ArgumentParser(
+        prog=prog or "annoforge", **PARSER_SETTINGS,
+        description="Generate, validate, describe, and score schema-guided annotations."))
+    parser.add_argument("--config", dest="config_path", metavar="PATH",
+                        help="Run configuration file (YAML).")
+    parser.add_argument("--output-dir", metavar="PATH",
+                        help="Override the configured output directory.")
+    parser.add_argument("--seed", type=int, help="Override the configured sampling seed.")
+    parser.add_argument("--resume", action="store_true",
+                        help="Skip documents already present in the output dataset.")
+    parser.add_argument("--quiet", action="store_true", help="Only warnings and errors.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, func) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=func.__doc__, description=func.__doc__,
+                                  **PARSER_SETTINGS)
+        sub.set_defaults(run=func)
+        return _with_help(sub)
+
+    command("generate", generate)
+
+    sub = command("validate", validate_cmd)
+    sub.add_argument("dataset_path", nargs="?", metavar="DATASET_PATH")
+    sub.add_argument("--grounding", choices=GROUNDING_POLICIES,
+                     help="Override the policy the records were generated with.")
+    sub.add_argument("--out", dest="out_path", metavar="PATH",
+                     help="Where to write the filtered dataset.")
+
+    sub = command("stats", stats)
+    sub.add_argument("dataset_path", nargs="?", metavar="DATASET_PATH")
+    sub.add_argument("--top", type=_positive_int, default=10, metavar="N",
+                     help="Rows in the top/bottom label tables (default: 10).")
+    sub.add_argument("--json", dest="as_json", action="store_true",
+                     help="Machine-readable output.")
+
+    sub = command("overlap", overlap)
+    sub.add_argument("dataset_path", nargs="?", metavar="DATASET_PATH")
+    sub.add_argument("--labels", dest="labelspace_dir", type=_existing_path, required=True,
+                     metavar="PATH", help="Directory of <benchmark>.<split>.txt files.")
+    sub.add_argument("--case-insensitive", action="store_true",
+                     help="Fold case when matching labels.")
+    sub.add_argument("--json", dest="as_json", action="store_true",
+                     help="Machine-readable output.")
+
+    sub = command("emit-train", emit_train)
+    sub.add_argument("dataset_path", nargs="?", metavar="DATASET_PATH")
+    sub.add_argument("--out", dest="out_path", metavar="PATH",
+                     help="Training file to write (default: train.jsonl beside the dataset).")
+
+    sub = command("eval", eval_cmd)
+    sub.add_argument("gold_dir", type=_existing_path, metavar="GOLD_DIR")
+    sub.add_argument("pred_dir", type=_existing_path, metavar="PRED_DIR")
+    sub.add_argument("--matching", choices=["exact", "normalized"], default="exact",
+                     help="Span matching (default: exact).")
+    sub.add_argument("--schema", dest="schema_path", type=_existing_path, metavar="PATH",
+                     help="Guidelines file used to pick each class's mention field.")
+    sub.add_argument("--json", dest="as_json", action="store_true",
+                     help="Machine-readable output.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None):
+    """Run the command line ``args`` (default: ``sys.argv[1:]``).
+
+    Always ends in ``SystemExit`` with the command's exit code.
+    """
+    opts = build_parser(prog_name).parse_args(args)
+    logging.basicConfig(level=logging.WARNING if opts.quiet else logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
+    try:
+        code = opts.run(opts)
+    except (ConfigError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
+    except Exception as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        raise SystemExit(3) from exc
+    except KeyboardInterrupt:  # Ctrl-C: a one-word note and exit 1, not a traceback
+        print("\nAborted!", file=sys.stderr)
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

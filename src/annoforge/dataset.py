@@ -148,8 +148,8 @@ def resume_doc_ids(path: str | Path, meta: dict) -> list[str]:
     """The ``doc_id`` of each complete record line, for ``generate --resume``.
 
     Only the JSON is decoded, never the notation. Each record's ``meta`` must
-    hold every value of ``meta``, the resuming run's templates and model
-    nested as a record holds them: a record made otherwise raises
+    hold every value of ``meta``, the resuming run's templates, model and
+    grounding policy nested as a record holds them: a record made otherwise raises
     ``ConfigError`` naming the file and line, the differing key and both
     values. A last line without its newline, a write cut short, is cut from
     the file with a warning. An empty file, left by a kill before the

@@ -276,10 +276,12 @@ def truncate_document(text: str, max_chars: int | None) -> tuple[str, bool]:
     return cut, True
 
 
-def config_meta(templates: dict[str, PromptTemplate], client: LLMClient) -> dict:
+def config_meta(templates: dict[str, PromptTemplate], client: LLMClient,
+                grounding: str) -> dict:
     """The part of a record's ``meta`` the run's config sets; ``--resume`` checks it."""
     return {"templates": {stage: templates[stage].version for stage in STAGES},
-            "model": client.params.model_name}
+            "model": client.params.model_name,
+            "grounding": grounding}
 
 
 def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
@@ -339,10 +341,9 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
                             "message": e.message} for e in errors],
             },
             meta={
-                **config_meta(templates, client),
+                **config_meta(templates, client, grounding),
                 "backend": client.backend,
                 "truncated": truncated,
-                "grounding": grounding,
                 # wall-clock stamps would break replay byte-determinism
                 "generated_at": (None if client.backend == "replay" else
                                  datetime.now(timezone.utc).isoformat()),

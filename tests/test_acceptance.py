@@ -18,8 +18,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from annoforge.cli import main as cli_main
 from annoforge.dataset import (
     compute_overlap,
@@ -45,6 +43,7 @@ from annoforge.notation import (
 )
 from annoforge.validation import ErrorCode, filter_instances, validate
 from builders import stats_record
+from clirunner import CliRunner
 from oracles import oracle_counts
 
 DATA = Path(__file__).parent / "data"

@@ -1,8 +1,10 @@
 """End-to-end command tests against the committed replay fixtures."""
 
+import argparse
 import json
 import logging
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,17 +13,17 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import annoforge
 import annoforge.dataset
-from annoforge.cli import main
+from annoforge.cli import build_parser, main
 from annoforge.dataset import write_dataset
 from annoforge.llm import ChatMessage, ChatRequest, GenerationParams, ReplayCache, user_request
 from annoforge.notation import EntityInstance, print_instances
 from annoforge.pipeline import PromptTemplate, default_templates
 from builders import make_records, paris_client, stats_record
 from chatserver import completion
+from clirunner import CliRunner
 from memory import traced_peak
 from scripted import ScriptedClient
 
@@ -115,24 +117,26 @@ def test_generate_resume_skips_completed_docs(runner, tmp_path, no_network):
     assert (tmp_path / "rejects.jsonl").read_bytes() == b""
 
 
-@pytest.mark.parametrize("key", ["meta.templates.instances", "meta.model"])
+@pytest.mark.parametrize("key", ["meta.templates.instances", "meta.model", "meta.grounding"])
 def test_resume_refuses_records_of_another_config(runner, tmp_path, key):
-    """A resume must not append records of other templates or another model."""
+    """A resume must not append records of other templates, another model or
+    another grounding policy."""
     dataset = generate_into(runner, tmp_path)
     before = {name: (tmp_path / name).read_bytes()
               for name in ("dataset.jsonl", "trail.jsonl", "rejects.jsonl")}
     instances = default_templates()["instances"]
     edited = PromptTemplate("instances", instances.template_text + "\nBe exact.\n")
     (tmp_path / "instances.txt").write_text(edited.template_text, encoding="utf-8")
-    model, templates, found, wanted = {
+    model, changed, found, wanted = {
         "meta.templates.instances": ("fixture", "templates: {instances: instances.txt}\n",
                                      instances.version, edited.version),
         "meta.model": ("other", "", "fixture", "other"),
+        "meta.grounding": ("fixture", "pipeline: {grounding: exact}\n", "normalized", "exact"),
     }[key]
     config = tmp_path / "changed.yaml"
     config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
                       f"client: {{backend: replay, cache: {DATA / 'cache.jsonl'}, "
-                      f"model: {model}}}\n{templates}", encoding="utf-8")
+                      f"model: {model}}}\n{changed}", encoding="utf-8")
     result = invoke(runner, "--config", config, "--output-dir", tmp_path,
                     "--resume", "generate")
     assert result.exit_code == 2, result.output + result.stderr
@@ -228,7 +232,7 @@ def test_failed_write_stops_generate_early(runner, tmp_path, monkeypatch):
         next(iter(records))
         raise OSError("No space left on device")
 
-    monkeypatch.setattr("annoforge.cli.write_dataset", full_disk)
+    monkeypatch.setattr("annoforge.dataset.write_dataset", full_disk)
     result = invoke(runner, "--config", tmp_path / "cfg.yaml",
                     "--output-dir", tmp_path, "generate")
     assert result.exit_code == 3
@@ -900,10 +904,87 @@ def test_quiet_flag_accepted(runner):
     assert result.exit_code == 0
 
 
+COMMANDS = ("generate", "validate", "stats", "overlap", "emit-train", "eval")
+
+
 def test_help_lists_all_commands(runner):
     result = invoke(runner, "--help")
-    for command in ("generate", "validate", "stats", "overlap", "emit-train", "eval"):
+    assert result.exit_code == 0
+    for command in COMMANDS:
         assert command in result.output
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_exits_0(runner, command):
+    result = invoke(runner, command, "--help")
+    assert result.exit_code == 0, result.stderr
+    assert "--help" in result.output
+
+
+def readme_cli_lines() -> list[str]:
+    """The command lines of README's CLI section, comments cut."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0] for line in block.splitlines()]
+
+
+def test_every_readme_cli_line_runs(runner, tmp_path, monkeypatch):
+    """Each line of README's CLI section, run in order in a directory that
+    holds what it names, exits 0."""
+    (tmp_path / "run.yaml").write_text(
+        f"corpus: {DATA / 'docs.jsonl'}\n"
+        f"client: {{backend: replay, cache: {DATA / 'cache.jsonl'}, model: fixture}}\n",
+        encoding="utf-8")
+    shutil.copytree(DATA / "labels", tmp_path / "benchmarks")
+    shutil.copytree(DATA / "eval" / "gold", tmp_path / "gold")
+    shutil.copytree(DATA / "eval" / "pred", tmp_path / "pred")
+    (tmp_path / "guidelines.py").write_text(
+        '@dataclass\nclass Film:\n    """A movie."""\n    title: str  # the title\n',
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) >= 6
+    for line in lines:
+        program, *args = shlex.split(line)
+        assert program == "annoforge", line
+        result = invoke(runner, *args)
+        assert result.exit_code == 0, (line, result.output + result.stderr)
+
+
+def test_readme_cli_lines_use_every_option():
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands.choices) == sorted(COMMANDS)
+    options = {option for p in [parser, *commands.choices.values()]
+               for action in p._actions for option in action.option_strings}
+    used = {word for line in readme_cli_lines() for word in shlex.split(line)}
+    assert options - used == {"--help"}
+
+
+@pytest.mark.parametrize("args, named", [
+    (["stats", GOLDEN_DATASET, "--bogus"], "--bogus"),
+    (["--bogus", "stats", GOLDEN_DATASET], "--bogus"),
+    (["eval", DATA / "eval" / "gold", DATA / "eval" / "pred", "--matching", "fuzzy"],
+     "--matching"),
+    (["validate", GOLDEN_DATASET, "--grounding", "loose"], "--grounding"),
+    (["--seed", "x", "stats", GOLDEN_DATASET], "--seed"),
+    (["eval", DATA / "eval" / "nowhere", DATA / "eval" / "pred"], "GOLD_DIR"),
+    (["eval", DATA / "eval" / "gold", DATA / "eval" / "nowhere"], "PRED_DIR"),
+    (["eval", DATA / "eval" / "gold", DATA / "eval" / "pred", "--schema", DATA / "nowhere"],
+     "--schema"),
+    (["overlap", GOLDEN_DATASET, "--labels", DATA / "nowhere"], "--labels"),
+    (["overlap", GOLDEN_DATASET], "--labels"),
+    (["nowhere"], "nowhere"),
+    ([], "COMMAND"),
+], ids=["unknown-option", "unknown-global-option", "matching", "grounding", "seed",
+        "missing-gold-dir", "missing-pred-dir", "missing-schema", "missing-labels-dir",
+        "no-labels", "unknown-command", "no-command"])
+def test_usage_error_exits_2_and_names_the_argument(runner, args, named):
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert named in result.stderr
+    assert result.output == ""
 
 
 OFFLINE_RUN = """
@@ -939,3 +1020,35 @@ def test_offline_commands_load_no_http_client_nor_yaml(tmp_path):
         capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+COMMAND_RUN = """
+import sys
+from annoforge.cli import main
+
+try:
+    main(args=sys.argv[1:])
+except SystemExit as exc:
+    print(exc.code)
+watched = ("click", "annoforge.dataset", "annoforge.evaluation", "annoforge.pipeline",
+           "annoforge.llm", "yaml", "http.client")
+print(sorted(name for name in watched if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (["validate", GOLDEN_DATASET, "--out", "filtered.jsonl"], ["annoforge.dataset"]),
+    (["stats", GOLDEN_DATASET], ["annoforge.dataset"]),
+    (["emit-train", GOLDEN_DATASET, "--out", "train.jsonl"], ["annoforge.dataset"]),
+    (["overlap", GOLDEN_DATASET, "--labels", DATA / "labels"], ["annoforge.dataset"]),
+    (["eval", DATA / "eval" / "gold", DATA / "eval" / "pred"], ["annoforge.evaluation"]),
+], ids=["validate", "stats", "emit-train", "overlap", "eval"])
+def test_each_offline_command_loads_only_its_modules(tmp_path, args, loaded):
+    """Start-up cost, command by command in a fresh interpreter: no command
+    loads click, the dataset commands do not load evaluation, eval does not
+    load dataset, and none loads the pipeline, the client, yaml or http.client."""
+    result = subprocess.run([sys.executable, "-c", COMMAND_RUN, *map(str, args)],
+                            capture_output=True, text=True, env=cli_env(), cwd=tmp_path,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["0", str(loaded)]

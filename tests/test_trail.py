@@ -8,8 +8,6 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from annoforge.cli import main
 from annoforge.config import build_client, build_templates, load_config
 from annoforge.corpus import Document
@@ -25,6 +23,7 @@ from annoforge.pipeline import (
     structured_to_json,
 )
 from builders import DOC1, DOC2, collect, demo_client, paris_client
+from clirunner import CliRunner
 from scripted import INSTANCES, REPAIR, STRUCTURE, SUMMARIZE, ScriptedClient
 
 DATA = Path(__file__).parent / "data"
