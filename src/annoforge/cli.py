@@ -19,8 +19,9 @@ from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
 
-# every command loads config and validation (dataset and evaluation import
-# them), so only these two are imported here; each command imports the rest
+# every command loads config, jsonl and validation (dataset and evaluation
+# import them), so only these are imported here; each command imports the rest
+from . import jsonl
 from .config import ConfigError, RunConfig, build_client, build_templates, load_config, load_docs
 from .validation import GROUNDING_POLICIES
 
@@ -46,10 +47,6 @@ def _resolve_dataset(opts: argparse.Namespace) -> Path:
     raise ConfigError("give a dataset path, or --config/--output-dir to locate one")
 
 
-def _jsonl(entry) -> str:
-    return json.dumps(asdict(entry), sort_keys=True, ensure_ascii=False) + "\n"
-
-
 @contextmanager
 def _replacing(out: Path):
     """A temporary file beside ``out`` that replaces it only if the block succeeds,
@@ -64,7 +61,7 @@ def _replacing(out: Path):
 
 def generate(opts: argparse.Namespace) -> int:
     """Run the four-stage pipeline over the corpus and write the dataset."""
-    from .dataset import cut_torn_line, resume_doc_ids, write_dataset
+    from .dataset import resume_doc_ids, write_dataset
     from .pipeline import config_meta, run_pipeline
 
     cfg = _load_cfg(opts)
@@ -76,6 +73,9 @@ def generate(opts: argparse.Namespace) -> int:
 
     resume = opts.resume
     done = []
+    for path in (dataset_path, out / "trail.jsonl", out / "rejects.jsonl"):
+        if resume and path.exists():  # a kill leaves at most an unterminated last line
+            jsonl.mend(path)
     if resume and dataset_path.exists():
         done = resume_doc_ids(dataset_path, config_meta(templates, client, cfg.grounding))
         log.info("resuming: %d records already present", len(done))
@@ -90,9 +90,6 @@ def generate(opts: argparse.Namespace) -> int:
     # a resume appends, keeping the audit of earlier runs; a document that runs
     # again (it was rejected) has its new lines after its old ones
     audit_mode = "a" if resume else "w"
-    for name in ("trail.jsonl", "rejects.jsonl"):
-        if resume and (out / name).exists():
-            cut_torn_line(out / name)
     # closing, so a failed write cancels the documents not yet started
     with closing(outcomes), open(out / "trail.jsonl", audit_mode, encoding="utf-8") as trail, \
             open(out / "rejects.jsonl", audit_mode, encoding="utf-8") as rejects:
@@ -100,10 +97,10 @@ def generate(opts: argparse.Namespace) -> int:
         def records():
             start = time.monotonic()
             for n, (record, reject, steps) in enumerate(outcomes, 1):
-                trail.writelines(map(_jsonl, steps))
+                trail.writelines(jsonl.dumps(asdict(step)) for step in steps)
                 counts["records" if reject is None else "rejects"] += 1
                 if reject is not None:
-                    rejects.write(_jsonl(reject))
+                    rejects.write(jsonl.dumps(asdict(reject)))
                 # on disk before the record, so a killed run keeps each record's audit
                 trail.flush()
                 rejects.flush()
@@ -182,9 +179,11 @@ def overlap(opts: argparse.Namespace) -> int:
     """Coverage of benchmark label spaces by the dataset's labels."""
     from .dataset import compute_overlap, dataset_labels, iter_dataset, load_labelspaces
 
-    records = iter_dataset(_resolve_dataset(opts), schema=False)
-    results = compute_overlap(dataset_labels(records),
-                              load_labelspaces(opts.labelspace_dir),
+    path = _resolve_dataset(opts)
+    labels = dataset_labels(iter_dataset(path, schema=False))
+    if not labels:
+        raise ValueError(f"{path}: dataset label set is empty")
+    results = compute_overlap(labels, load_labelspaces(opts.labelspace_dir),
                               case_insensitive=opts.case_insensitive)
     if opts.as_json:
         print(json.dumps([{
@@ -223,10 +222,13 @@ def emit_train(opts: argparse.Namespace) -> int:
 def eval_cmd(opts: argparse.Namespace) -> int:
     """Score predictions against gold files paired by name."""
     from .evaluation import format_table, load_gold, load_predictions, score_benchmarks
-    from .notation import parse_guidelines
+    from .notation import ParseError, parse_guidelines
 
-    schema = (parse_guidelines(Path(opts.schema_path).read_text(encoding="utf-8"))
-              if opts.schema_path else None)
+    try:
+        schema = (parse_guidelines(Path(opts.schema_path).read_text(encoding="utf-8"))
+                  if opts.schema_path else None)
+    except ParseError as exc:
+        raise ValueError(f"{opts.schema_path}: {exc}") from exc
     gold_files = sorted(Path(opts.gold_dir).glob("*.jsonl"))
     if not gold_files:
         raise ConfigError(f"no gold files in {opts.gold_dir}")

@@ -206,18 +206,15 @@ def build_templates(cfg: RunConfig) -> dict[str, PromptTemplate]:
 def build_client(cfg: RunConfig) -> LLMClient:
     from .llm import GenerationParams, LLMClient
 
-    try:
-        params = GenerationParams(temperature=cfg.temperature, top_p=cfg.top_p,
-                                  max_new_tokens=cfg.max_new_tokens,
-                                  model_name=cfg.model_name)
-        return LLMClient(backend=cfg.backend, base_url=cfg.base_url,
-                         cache_path=cfg.cache_path, params=params,
-                         parallelism=cfg.parallelism)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = GenerationParams(temperature=cfg.temperature, top_p=cfg.top_p,
+                              max_new_tokens=cfg.max_new_tokens, model_name=cfg.model_name)
+    return LLMClient(backend=cfg.backend, base_url=cfg.base_url, cache_path=cfg.cache_path,
+                     params=params, parallelism=cfg.parallelism)
 
 
 def load_docs(cfg: RunConfig, seed: int | None = None) -> list[Document]:
+    if seed is not None and cfg.sample_n is None:
+        raise ConfigError("--seed needs a sample section with n in the config")
     if cfg.corpus_path is None:
         raise ConfigError("config declares no corpus path")
     if not cfg.corpus_path.exists():

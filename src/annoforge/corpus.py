@@ -7,10 +7,11 @@ line, and a directory of ``.txt`` files whose stems become document ids.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
+
+from . import jsonl
 
 
 @dataclass
@@ -29,38 +30,25 @@ def load_corpus(path: str | Path, format: str | None = None) -> list[Document]:
     if format is None:
         format = "text-directory" if path.is_dir() else "jsonl"
     if format == "jsonl":
-        docs = _load_jsonl(path)
-    elif format == "text-directory":
-        docs = _load_text_dir(path)
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.doc_id in seen:
-            raise ValueError(f"duplicate doc_id {doc.doc_id!r} in {path}")
-        seen.add(doc.doc_id)
-    return docs
+        return _load_jsonl(path)
+    if format == "text-directory":
+        return _load_text_dir(path)  # file names, so its ids are unique
+    raise ValueError(f"unknown corpus format {format!r}")
 
 
 def _load_jsonl(path: Path) -> list[Document]:
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: expected an object")
-            text = record.get("text")
-            if not isinstance(text, str) or not text.strip():
-                raise ValueError(f"{path}:{lineno}: record has no text")
-            doc_id = record.get("id")
-            doc_id = str(doc_id) if doc_id is not None else f"doc-{lineno - 1:05d}"
-            docs.append(Document(doc_id=doc_id, text=text))
-    return docs
+    docs: dict[str, Document] = {}
+    for lineno, record in jsonl.read(path, "invalid JSON"):
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{lineno}: expected an object")
+        text = record.get("text")
+        if not isinstance(text, str) or not text.strip():
+            raise ValueError(f"{path}:{lineno}: record has no text")
+        doc_id = str(record["id"]) if record.get("id") is not None else f"doc-{lineno - 1:05d}"
+        if doc_id in docs:
+            raise ValueError(f"duplicate doc_id {doc_id!r} in {path}")
+        docs[doc_id] = Document(doc_id=doc_id, text=text)
+    return list(docs.values())
 
 
 def _load_text_dir(path: Path) -> list[Document]:

@@ -3,14 +3,14 @@
 A dataset is a JSONL file: a header line carrying the format version, then
 one record per line. Records hold every stage output for one document plus
 the validation verdicts, so a dataset is auditable and the training emitter
-can re-check instances before writing supervised examples. ``generate``
-streams records into ``write_dataset`` with ``flush=True``, so a kill leaves
-at most a torn last line; ``resume_doc_ids`` cuts it, and ``cut_torn_line``
-cuts one from the trail and the rejects. ``iter_dataset`` yields one record
-at a time and the analysis functions take any iterable, so a command holds
-one record, not the dataset. Each record's instance notation is parsed; its
-``schema`` text only for callers that read it (with ``schema=False``,
-``DatasetRecord.schema`` is ``None``).
+can re-check instances before writing supervised examples. Lines are read
+and written through ``jsonl``. ``generate`` streams records into
+``write_dataset`` with ``flush=True``, so a kill leaves at most a last line
+without its newline, which ``jsonl.mend`` keeps or cuts before a resume.
+``iter_dataset`` yields one record at a time and the analysis functions
+take any iterable, so a command holds one record, not the dataset. Each
+record's instance notation is parsed; its ``schema`` text only for callers
+that read it (with ``schema=False``, ``DatasetRecord.schema`` is ``None``).
 
 A record read from a file keeps its ``schema`` and ``instances`` text, and is
 written with that text while it holds the objects parsed from it. A new
@@ -29,8 +29,10 @@ import logging
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
+from . import jsonl
 from .config import ConfigError
 from .notation import (
     InstanceSet,
@@ -113,15 +115,10 @@ def write_dataset(records: Iterable[DatasetRecord], path: str | Path, *,
     ``flush``, each line is on disk before the next record is drawn."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    header = [] if append else [{"format": FORMAT_NAME, "version": FORMAT_VERSION}]
     with open(path, "a" if append else "w", encoding="utf-8") as fh:
-        if not append:
-            fh.write(json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION},
-                                sort_keys=True) + "\n")
-            if flush:
-                fh.flush()
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True,
-                                ensure_ascii=False) + "\n")
+        for data in chain(header, map(record_to_dict, records)):
+            fh.write(jsonl.dumps(data))
             if flush:
                 fh.flush()
 
@@ -134,9 +131,8 @@ def iter_dataset(path: str | Path, *, schema: bool = True) -> Iterator[DatasetRe
     ``None``. A bad header, or a corrupt record line once it is reached,
     raises ``ValueError`` naming the file (and the line).
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        yield from _decode(fh, path, lambda data: record_from_dict(data, schema=schema))
+    return (record for _, record in
+            _records(path, lambda data: record_from_dict(data, schema=schema)))
 
 
 def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord]:
@@ -145,29 +141,26 @@ def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord
 
 
 def resume_doc_ids(path: str | Path, meta: dict) -> list[str]:
-    """The ``doc_id`` of each complete record line, for ``generate --resume``.
+    """The ``doc_id`` of each record, for ``generate --resume`` (which mends the file first).
 
     Only the JSON is decoded, never the notation. Each record's ``meta`` must
     hold every value of ``meta``, the resuming run's templates, model and
     grounding policy nested as a record holds them: a record made otherwise raises
     ``ConfigError`` naming the file and line, the differing key and both
-    values. A last line without its newline, a write cut short, is cut from
-    the file with a warning. An empty file, left by a kill before the
-    header, holds no records.
+    values. An empty file, left by a kill before the header, holds no records.
     """
-    def doc_id(record: dict) -> str:
-        differs = _first_difference(record.get("meta"), meta, "meta")
+    if Path(path).stat().st_size == 0:
+        return []
+    doc_ids = []
+    records = _records(path, lambda data: (data["doc_id"], data.get("meta")))
+    for lineno, (doc_id, record_meta) in records:
+        differs = _first_difference(record_meta, meta, "meta")
         if differs:
             key, found, wanted = differs
-            raise ConfigError(f"cannot resume: {key} is {found!r} in the dataset "
-                              f"but {wanted!r} in this run")
-        return record["doc_id"]
-
-    path = Path(path)
-    if path.stat().st_size == 0:
-        return []
-    with open(path, "r+b") as fh:
-        return list(_decode(_complete_lines(fh, path), path, doc_id))
+            raise ConfigError(f"{path}:{lineno}: cannot resume: {key} is {found!r} "
+                              f"in the dataset but {wanted!r} in this run")
+        doc_ids.append(doc_id)
+    return doc_ids
 
 
 def _first_difference(found, expected: dict, prefix: str) -> tuple | None:
@@ -185,37 +178,21 @@ def _first_difference(found, expected: dict, prefix: str) -> tuple | None:
     return None
 
 
-def cut_torn_line(path: str | Path) -> None:
-    """Cut a last line without its newline, so a line appended next starts its own.
+def _records(path: str | Path, decode) -> Iterator[tuple[int, object]]:
+    """(line number, ``decode`` of its JSON) for each record line, after the header's."""
+    first = []  # the header line's text, checked below with messages of its own
 
-    ``generate --resume`` appends to the trail and the rejects through this.
-    """
-    path = Path(path)
-    with open(path, "r+b") as fh:
-        for _ in _complete_lines(fh, path):
-            pass
+    def decode_line(line: str):
+        if first:
+            return decode(json.loads(line))
+        first.append(line)
 
-
-def _complete_lines(fh, path: Path) -> Iterator[bytes]:
-    """The lines of a binary file opened for update, cutting a torn last line."""
-    offset = 0
-    for lineno, line in enumerate(fh, start=1):
-        if not line.endswith(b"\n"):
-            log.warning("%s:%d: dropping torn last line", path, lineno)
-            fh.truncate(offset)
-            return
-        offset += len(line)
-        yield line
-
-
-def _decode(lines: Iterable, path: Path, decode) -> Iterator:
-    """``decode`` of each record line's JSON, after checking the header line."""
-    numbered = ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
-    lineno, line = next(numbered, (None, None))
-    if line is None:
+    lines = jsonl.read(path, "corrupt record", decode_line)
+    lineno, _ = next(lines, (None, None))
+    if lineno is None:
         raise ValueError(f"{path}: missing dataset header")
     try:
-        header = json.loads(line)
+        header = json.loads(first[0])
         if not isinstance(header, dict) or "format" not in header:
             raise ValueError("no format field")
     except ValueError as exc:
@@ -224,13 +201,7 @@ def _decode(lines: Iterable, path: Path, decode) -> Iterator:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported dataset version {header.get('version')}")
-    for lineno, line in numbered:
-        try:
-            yield decode(json.loads(line))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}:{lineno}: corrupt record ({exc})") from exc
+    yield from lines
 
 
 @dataclass
@@ -354,7 +325,7 @@ def load_labelspace(path: str | Path) -> set[str]:
 
 
 def load_labelspaces(directory: str | Path) -> dict[str, dict[str, set[str]]]:
-    """Read ``<benchmark>.<split>.txt`` files from a directory."""
+    """Read ``<benchmark>.<split>.txt`` files from a directory; none is a ``ConfigError``."""
     spaces: dict[str, dict[str, set[str]]] = {}
     for file in sorted(Path(directory).glob("*.txt")):
         parts = file.name.split(".")
@@ -363,6 +334,8 @@ def load_labelspaces(directory: str | Path) -> dict[str, dict[str, set[str]]]:
                              "(expected <benchmark>.<split>.txt)")
         benchmark, split = parts[0], parts[1]
         spaces.setdefault(benchmark, {})[split] = load_labelspace(file)
+    if not spaces:
+        raise ConfigError(f"no label files in {directory}")
     return spaces
 
 
@@ -395,6 +368,6 @@ def emit_training_examples(records: Iterable[DatasetRecord], path: str | Path) -
                 + record.document,
                 "target": record.text_of(record.instances, print_instances),
             }
-            fh.write(json.dumps(example, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(jsonl.dumps(example))
             written += 1
     return written

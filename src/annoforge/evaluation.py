@@ -30,6 +30,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import jsonl
 from .notation import TEXT, InstanceSet, ParseError, Schema, parse_instances
 from .validation import normalize_span
 
@@ -196,32 +197,20 @@ def mentions_from_instances(instance_set: InstanceSet,
     return mentions
 
 
-_CORRUPT = (ValueError, KeyError, TypeError, AttributeError)
-
-
-def _lines(path: str | Path):
-    """(line number, line) for each non-blank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield lineno, line
-
-
 def _mentions(record: dict) -> list[Mention]:
     return [(m["label"], m["span"]) for m in record.get("mentions", [])]
+
+
+def _gold_example(line: str) -> GoldExample:
+    record = json.loads(line)
+    return GoldExample(example_id=str(record["id"]), text=record.get("text", ""),
+                       mentions=_mentions(record))
 
 
 def load_gold(path: str | Path) -> list[GoldExample]:
     """Read a gold JSONL file: one {id, text, mentions: [{label, span}]} per line."""
     examples = []
-    for lineno, line in _lines(path):
-        try:
-            record = json.loads(line)
-            example = GoldExample(example_id=str(record["id"]),
-                                  text=record.get("text", ""),
-                                  mentions=_mentions(record))
-        except _CORRUPT as exc:
-            raise ValueError(f"{path}:{lineno}: corrupt gold example ({exc})") from exc
+    for lineno, example in jsonl.read(path, "corrupt gold example", _gold_example):
         for label, span in example.mentions:
             if not span:
                 raise ValueError(f"{path}:{lineno}: empty span for label {label!r}")
@@ -237,25 +226,21 @@ def load_predictions(path: str | Path, schema: Schema | None = None) -> Iterator
     ``mentions`` list in the gold format. A corrupt line raises when it is
     reached, after the predictions before it were yielded.
     """
-    for lineno, line in _lines(path):
+    def prediction(line: str) -> Prediction:
+        record = json.loads(line)
+        eid = str(record["id"])
+        if "mentions" in record:
+            return Prediction(example_id=eid, mentions=_mentions(record))
+        output = record["output"]
+        if not isinstance(output, str):
+            raise TypeError(f"output is {type(output).__name__}, not a string")
         try:
-            record = json.loads(line)
-            eid = str(record["id"])
-            if "mentions" in record:
-                mentions = _mentions(record)
-            else:
-                output = record["output"]
-                if not isinstance(output, str):
-                    raise TypeError(f"output is {type(output).__name__}, not a string")
-                try:
-                    iset = parse_instances(output, doc_id=eid)
-                except ParseError:
-                    mentions = []
-                else:
-                    mentions = mentions_from_instances(iset, schema)
-        except _CORRUPT as exc:
-            raise ValueError(f"{path}:{lineno}: corrupt prediction ({exc})") from exc
-        yield Prediction(example_id=eid, mentions=mentions)
+            iset = parse_instances(output, doc_id=eid)
+        except ParseError:
+            return Prediction(example_id=eid, mentions=[])
+        return Prediction(example_id=eid, mentions=mentions_from_instances(iset, schema))
+
+    return (pred for _, pred in jsonl.read(path, "corrupt prediction", prediction))
 
 
 def format_table(rows: list[tuple[str, EvalResult]], macro: float | None = None) -> str:

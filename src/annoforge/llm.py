@@ -20,6 +20,8 @@ Three backends share one interface:
 * ``replay`` -- serve exclusively from the cache; a miss is an error and no
   network I/O ever happens
 
+The cache file is mended by ``jsonl.mend``, under ``replay`` too, before it loads.
+
 The request key hashes the fully rendered messages plus the generation
 parameters, canonically serialized, so it is stable across runs and
 platforms and any prompt edit invalidates stale cache entries.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import threading
 import time
@@ -37,9 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from . import __version__
-
-log = logging.getLogger(__name__)
+from . import __version__, jsonl
+from .config import ConfigError
 
 BACKENDS = ("http", "replay", "record")
 API_KEY_VARS = ("ANNOFORGE_API_KEY", "OPENAI_API_KEY")
@@ -66,11 +66,11 @@ class GenerationParams:
 
     def __post_init__(self) -> None:
         if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+            raise ConfigError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
+            raise ConfigError("top_p must be in (0, 1]")
         if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be positive")
+            raise ConfigError("max_new_tokens must be positive")
 
 
 @dataclass(frozen=True)
@@ -131,33 +131,12 @@ class ReplayCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[str, str]] = {}
-        # (offset, separator): before the next put, cut the file at offset and
-        # write separator, so an unterminated last line never prefixes a new one
-        self._tail_fix: tuple[int, bytes] | None = None
         if self.path.exists():
-            with open(self.path, "rb") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    if line.endswith(b"\n"):
-                        self._load(line)
-                        continue
-                    # only the last line lacks a newline: a write cut short
-                    end = fh.tell()
-                    try:
-                        self._load(line)
-                    except ValueError as exc:
-                        log.warning("%s: dropping torn last line (%s)", self.path, exc)
-                        self._tail_fix = (end - len(line), b"")
-                    else:
-                        self._tail_fix = (end, b"\n")
+            jsonl.mend(self.path)
+            self._entries = dict(entry for _, entry in
+                                 jsonl.read(self.path, "corrupt cache entry", _cache_entry))
         elif must_exist:
             raise FileNotFoundError(f"replay cache not found: {self.path}")
-
-    def _load(self, line: bytes) -> None:
-        record = json.loads(line.decode("utf-8"))
-        self._entries[record["request_key"]] = (
-            record["response_text"], record["finish_reason"])
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
@@ -168,18 +147,19 @@ class ReplayCache:
         return self._entries[key]
 
     def put(self, key: str, text: str, finish_reason: str) -> None:
+        # request_key first, unlike jsonl.dumps, so a line's start names its key
         line = json.dumps({"request_key": key, "response_text": text,
                            "finish_reason": finish_reason}, ensure_ascii=False)
         with self._lock:
             self._entries[key] = (text, finish_reason)
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as fh:
-                if self._tail_fix is not None:
-                    offset, separator = self._tail_fix
-                    fh.truncate(offset)
-                    fh.write(separator)
-                    self._tail_fix = None
                 fh.write((line + "\n").encode("utf-8"))
+
+
+def _cache_entry(line: str) -> tuple[str, tuple[str, str]]:
+    record = json.loads(line)
+    return record["request_key"], (record["response_text"], record["finish_reason"])
 
 
 class LLMClient:
@@ -191,17 +171,21 @@ class LLMClient:
                  timeout: float = 120.0, max_attempts: int = 3,
                  backoff_base: float = 1.0, parallelism: int = 1) -> None:
         if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
+            raise ConfigError(f"unknown backend {backend!r}")
         if backend in ("http", "record") and not base_url:
-            raise ValueError(f"backend {backend!r} needs a base_url")
-        if backend in ("http", "record") and urlsplit(base_url).scheme not in ("http", "https"):
-            raise ValueError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
+            raise ConfigError(f"backend {backend!r} needs a base_url")
+        try:
+            scheme = urlsplit(base_url or "").scheme
+        except ValueError:  # a malformed host, such as an unclosed IPv6 bracket
+            scheme = None
+        if backend in ("http", "record") and scheme not in ("http", "https"):
+            raise ConfigError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
         if backend in ("replay", "record") and not cache_path:
-            raise ValueError(f"backend {backend!r} needs a cache_path")
+            raise ConfigError(f"backend {backend!r} needs a cache_path")
         if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ConfigError("max_attempts must be >= 1")
         if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+            raise ConfigError("parallelism must be >= 1")
         self.backend = backend
         self.base_url = base_url.rstrip("/") if base_url else None
         self.params = params or GenerationParams()

@@ -190,6 +190,60 @@ def test_resume_without_records_writes_the_whole_dataset(runner, tmp_path, kept_
     assert dataset.read_bytes() == GOLDEN_DATASET.read_bytes()
 
 
+def test_resume_keeps_a_whole_last_line_without_its_newline(runner, tmp_path):
+    """A last line is whole exactly when it decodes: only its newline is
+    added, and its document does not run again."""
+    golden = GOLDEN_DATASET.read_bytes().splitlines(keepends=True)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(b"".join(golden[:4])[:-1])  # header and records 1-3
+    result = invoke(runner, "--config", CONFIG, "--output-dir", tmp_path,
+                    "--resume", "generate")
+    assert result.exit_code == 0, result.output + result.stderr
+    assert "generated 2 records (5 total, 0 rejected)" in result.output
+    assert dataset.read_bytes() == GOLDEN_DATASET.read_bytes()
+    trail = (tmp_path / "trail.jsonl").read_bytes().splitlines()
+    assert [json.loads(line)["doc_id"] for line in trail] == \
+        [doc_id for doc_id in list(FIXTURE_DOCS)[3:] for _ in range(4)]
+
+
+def replay_from(runner, tmp_path):
+    """``generate`` on the fixture corpus, replayed from ``tmp_path/cache.jsonl``."""
+    config = tmp_path / "replay.yaml"
+    config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
+                      "client: {backend: replay, cache: cache.jsonl, model: fixture}\n",
+                      encoding="utf-8")
+    return invoke(runner, "--config", config, "--output-dir", tmp_path / "out", "generate")
+
+
+def test_replay_leaves_a_whole_cache_untouched(runner, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    shutil.copy(DATA / "cache.jsonl", cache)
+    os.utime(cache, ns=(10**18, 10**18))
+    before = cache.read_bytes()
+    result = replay_from(runner, tmp_path)
+    assert result.exit_code == 0, result.output + result.stderr
+    assert cache.read_bytes() == before
+    assert cache.stat().st_mtime_ns == 10**18
+
+
+@pytest.mark.parametrize("line", ['{"request_key": "k1", "respo', '{"foo": 1}'],
+                         ids=["bad-json", "no-response"])
+def test_corrupt_cache_line_names_the_cache_and_line(runner, tmp_path, line):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(line + "\n", encoding="utf-8")
+    result = replay_from(runner, tmp_path)
+    assert result.exit_code == 3
+    assert f"runtime failure: {cache}:1: corrupt cache entry (" in result.stderr
+
+
+def test_seed_without_a_sample_section_is_config_error(runner, tmp_path):
+    result = invoke(runner, "--config", CONFIG, "--output-dir", tmp_path,
+                    "--seed", "7", "generate")
+    assert result.exit_code == 2
+    assert "error: --seed needs a sample section" in result.stderr
+    assert not (tmp_path / "dataset.jsonl").exists()
+
+
 def test_resume_corrupt_middle_line_is_runtime_failure(runner, tmp_path):
     lines = GOLDEN_DATASET.read_bytes().splitlines(keepends=True)
     lines[2] = b"not json\n"
@@ -757,6 +811,26 @@ def test_overlap_json_rows(runner):
     assert rows[("bio", "test")]["coverage"] == pytest.approx(2 / 3, abs=1e-4)
 
 
+@pytest.mark.parametrize("labels", ["empty-dir", "file"])
+def test_overlap_without_label_files_is_config_error(runner, tmp_path, labels):
+    path = tmp_path / "labels"
+    if labels == "file":
+        path.write_text("Person\n", encoding="utf-8")
+    else:
+        path.mkdir()
+    result = invoke(runner, "overlap", GOLDEN_DATASET, "--labels", path)
+    assert result.exit_code == 2
+    assert f"error: no label files in {path}" in result.stderr
+
+
+def test_overlap_on_a_header_only_dataset_names_it(runner, tmp_path):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(GOLDEN_DATASET.read_bytes().splitlines(keepends=True)[0])
+    result = invoke(runner, "overlap", dataset, "--labels", DATA / "labels")
+    assert result.exit_code == 3
+    assert f"runtime failure: {dataset}: dataset label set is empty" in result.stderr
+
+
 # -- emit-train ---------------------------------------------------------------
 
 def test_emit_train_matches_golden(runner, tmp_path):
@@ -897,6 +971,16 @@ def test_eval_schema_selects_mention_field(runner, tmp_path):
     assert json.loads(sighted.output)["per_dataset"]["films"]["f1"] == 1.0
 
 
+def test_eval_schema_that_is_not_guidelines_names_the_file(runner, tmp_path):
+    schema = tmp_path / "films.schema"
+    schema.write_text("not guidelines\n", encoding="utf-8")
+    result = invoke(runner, "eval", DATA / "eval" / "gold", DATA / "eval" / "pred",
+                    "--schema", schema)
+    assert result.exit_code == 3
+    assert f"runtime failure: {schema}: line 1, col 1: unexpected top-level statement" \
+        in result.stderr
+
+
 # -- misc ---------------------------------------------------------------------
 
 def test_quiet_flag_accepted(runner):
@@ -933,6 +1017,7 @@ def test_every_readme_cli_line_runs(runner, tmp_path, monkeypatch):
     holds what it names, exits 0."""
     (tmp_path / "run.yaml").write_text(
         f"corpus: {DATA / 'docs.jsonl'}\n"
+        "sample: {n: 3, seed: 1}\n"  # so --seed picks another sample
         f"client: {{backend: replay, cache: {DATA / 'cache.jsonl'}, model: fixture}}\n",
         encoding="utf-8")
     shutil.copytree(DATA / "labels", tmp_path / "benchmarks")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import socketserver
 import threading
 import time
@@ -129,7 +130,7 @@ def test_replay_cache_malformed_terminated_line_raises(tmp_path):
     path.write_text('{"request_key": "k1", "respo\n'
                     '{"request_key": "k2", "response_text": "b", "finish_reason": "stop"}\n',
                     encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(json.JSONDecodeError, match=rf"{re.escape(str(path))}:1: "):
         ReplayCache(path)
 
 
