@@ -39,12 +39,16 @@ def _load_cfg(opts: argparse.Namespace) -> RunConfig:
 
 def _resolve_dataset(opts: argparse.Namespace) -> Path:
     if opts.dataset_path is not None:
-        return Path(opts.dataset_path)
-    if opts.output_dir:
-        return Path(opts.output_dir) / "dataset.jsonl"
-    if opts.config_path:
-        return _load_cfg(opts).output_dir / "dataset.jsonl"
-    raise ConfigError("give a dataset path, or --config/--output-dir to locate one")
+        path = Path(opts.dataset_path)
+    elif opts.output_dir:
+        path = Path(opts.output_dir) / "dataset.jsonl"
+    elif opts.config_path:
+        path = _load_cfg(opts).output_dir / "dataset.jsonl"
+    else:
+        raise ConfigError("give a dataset path, or --config/--output-dir to locate one")
+    if path.is_dir():  # a usage error, as a missing file is
+        raise ConfigError(f"dataset is a directory, not a file: {path}")
+    return path
 
 
 @contextmanager

@@ -1,10 +1,12 @@
 """Chat-completion client with retries and record/replay caching.
 
+A request is one prompt, sent as the single user turn of a chat completion.
 Requests go out through the standard library's ``urllib.request``, one
-connection per request. A retryable HTTP reply (429 or 5xx) is retried after
-its ``Retry-After`` delay (capped at the timeout); without a usable one, after
-``backoff_base * 2**(n-1)``. A transport failure (no connection, a timeout, a
-reply cut short or not HTTP at all) is retried with the same backoff.
+connection per request, each attempt with a 120 s timeout. A call makes at
+most 3 attempts. A retryable HTTP reply (429 or 5xx) is retried after its
+``Retry-After`` delay, capped at 120 s; without a usable one, after 1 s and
+then 2 s. A transport failure (no connection, a timeout, a reply cut short or
+not HTTP at all) is retried with the same backoff.
 ``urllib.request`` is imported by the first HTTP call, not with this module, so
 the replay backend and the offline commands never load it.
 
@@ -22,8 +24,8 @@ Three backends share one interface:
 
 The cache file is mended by ``jsonl.mend``, under ``replay`` too, before it loads.
 
-The request key hashes the fully rendered messages plus the generation
-parameters, canonically serialized, so it is stable across runs and
+The request key hashes the rendered prompt, as its one user message, plus the
+generation parameters, canonically serialized, so it is stable across runs and
 platforms and any prompt edit invalidates stale cache entries.
 """
 
@@ -45,6 +47,9 @@ BACKENDS = ("http", "replay", "record")
 API_KEY_VARS = ("ANNOFORGE_API_KEY", "OPENAI_API_KEY")
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 USER_AGENT = f"annoforge/{__version__}"  # not urllib's default, which some gateways block
+TIMEOUT = 120.0  # seconds per HTTP attempt, and the cap on a Retry-After wait
+MAX_ATTEMPTS = 3
+BACKOFF_BASE = 1.0  # seconds before the second attempt, doubled before each later one
 
 
 class LLMError(Exception):
@@ -74,30 +79,14 @@ class GenerationParams:
 
 
 @dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self) -> None:
-        if self.role not in ("system", "user", "assistant"):
-            raise ValueError(f"unknown role {self.role!r}")
-
-
-@dataclass(frozen=True)
 class ChatRequest:
-    messages: tuple[ChatMessage, ...]
+    prompt: str  # sent as the one user message
     params: GenerationParams = field(default_factory=GenerationParams)
-
-    def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
-        if self.messages[0].role == "assistant":
-            raise ValueError("first message must be system or user")
 
     @property
     def request_key(self) -> str:
         payload = {
-            "messages": [{"role": m.role, "content": m.content} for m in self.messages],
+            "messages": [{"role": "user", "content": self.prompt}],
             "params": {
                 "temperature": self.params.temperature,
                 "top_p": self.params.top_p,
@@ -116,12 +105,6 @@ class ChatResponse:
     finish_reason: str  # stop | length | error
     usage: dict | None = None
     request_key: str | None = None  # set by complete(), so no caller hashes again
-
-
-def user_request(content: str, params: GenerationParams | None = None) -> ChatRequest:
-    """Convenience constructor for the common single-turn request."""
-    return ChatRequest(messages=(ChatMessage(role="user", content=content),),
-                       params=params or GenerationParams())
 
 
 class ReplayCache:
@@ -167,9 +150,7 @@ class LLMClient:
 
     def __init__(self, backend: str, base_url: str | None = None,
                  cache_path: str | Path | None = None,
-                 params: GenerationParams | None = None,
-                 timeout: float = 120.0, max_attempts: int = 3,
-                 backoff_base: float = 1.0, parallelism: int = 1) -> None:
+                 params: GenerationParams | None = None, parallelism: int = 1) -> None:
         if backend not in BACKENDS:
             raise ConfigError(f"unknown backend {backend!r}")
         if backend in ("http", "record") and not base_url:
@@ -182,23 +163,19 @@ class LLMClient:
             raise ConfigError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
         if backend in ("replay", "record") and not cache_path:
             raise ConfigError(f"backend {backend!r} needs a cache_path")
-        if max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
         if parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
         self.backend = backend
         self.base_url = base_url.rstrip("/") if base_url else None
         self.params = params or GenerationParams()
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.parallelism = parallelism
         self._slots = threading.BoundedSemaphore(parallelism)
         self.cache = (ReplayCache(cache_path, must_exist=backend == "replay")
                       if cache_path else None)
 
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        """Run one request; raises LLMError when no response can be produced."""
+    def complete(self, prompt: str) -> ChatResponse:
+        """Ask ``prompt``; raises LLMError when no response can be produced."""
+        request = ChatRequest(prompt, self.params)
         key = request.request_key
         if self.backend == "replay" or (self.backend == "record" and key in self.cache):
             text, finish_reason = self.cache.get(key)
@@ -214,8 +191,7 @@ class LLMClient:
 
         body = {
             "model": request.params.model_name,
-            "messages": [{"role": m.role, "content": m.content}
-                         for m in request.messages],
+            "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.params.temperature,
             "top_p": request.params.top_p,
             "max_tokens": request.params.max_new_tokens,
@@ -226,11 +202,11 @@ class LLMClient:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         url = f"{self.base_url}/v1/chat/completions"
-        for attempt in range(1, self.max_attempts + 1):
-            wait = self.backoff_base * 2 ** (attempt - 1)
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            wait = BACKOFF_BASE * 2 ** (attempt - 1)
             try:
                 with self._slots:  # released before any retry wait
-                    status, reply_headers, reply = _post(url, data, headers, self.timeout)
+                    status, reply_headers, reply = _post(url, data, headers, TIMEOUT)
             # OSError covers refused connections, timeouts and resets; HTTPException
             # a reply cut short (IncompleteRead) or not HTTP at all (BadStatusLine)
             except (OSError, http.client.HTTPException) as exc:
@@ -243,10 +219,10 @@ class LLMClient:
                     raise LLMError(last_error)
                 retry_after = _delta_seconds(reply_headers.get("Retry-After"))
                 if retry_after is not None:
-                    wait = min(retry_after, self.timeout)
-            if attempt < self.max_attempts:
+                    wait = min(retry_after, TIMEOUT)
+            if attempt < MAX_ATTEMPTS:
                 time.sleep(wait)
-        raise LLMError(f"giving up after {self.max_attempts} attempts; {last_error}")
+        raise LLMError(f"giving up after {MAX_ATTEMPTS} attempts; {last_error}")
 
     @staticmethod
     def _parse_response(reply: bytes) -> ChatResponse:

@@ -199,32 +199,17 @@ def _parse_docstring(lines: list[str], i: int, name: str) -> tuple[str, int]:
     idx = line.find('"""')
     if idx < 0 or line[:idx].strip():
         raise ParseError(i + 1, _indent_width(line) + 1, f"class {name!r} has no docstring")
-    rest = line[idx + 3:]
-    close = rest.find('"""')
-    if close >= 0:
-        if rest[close + 3:].strip():
-            raise ParseError(i + 1, idx + close + 7, "unexpected text after docstring")
-        guideline = rest[:close]
-        i += 1
-    else:
-        # multi-line: capture continuation lines verbatim up to the closing quotes
-        open_line = i + 1
-        parts = [rest]
-        i += 1
-        while True:
-            if i >= len(lines):
-                raise ParseError(open_line, idx + 1,
-                                 f"unterminated docstring in class {name!r}")
-            close = lines[i].find('"""')
-            if close >= 0:
-                if lines[i][close + 3:].strip():
-                    raise ParseError(i + 1, close + 4, "unexpected text after docstring")
-                parts.append(lines[i][:close])
-                i += 1
-                break
-            parts.append(lines[i])
-            i += 1
-        guideline = "\n".join(parts)
+    # collect lines verbatim up to the closing quotes, on this line or a later one
+    open_line, start, parts = i + 1, idx + 3, []
+    while (close := lines[i].find('"""', start)) < 0:
+        parts.append(lines[i][start:])
+        i, start = i + 1, 0
+        if i >= len(lines):
+            raise ParseError(open_line, idx + 1, f"unterminated docstring in class {name!r}")
+    if lines[i][close + 3:].strip():
+        raise ParseError(i + 1, close + 4, "unexpected text after docstring")
+    guideline = "\n".join([*parts, lines[i][start:close]])
+    i += 1
     if not guideline.strip():
         raise ParseError(i, 1, f"class {name!r} has an empty docstring")
     return guideline, i

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .corpus import Document
 from .dataset import DatasetRecord
-from .llm import LLMClient, LLMError, user_request
+from .llm import LLMClient, LLMError
 from .notation import (
     InstanceSet,
     ParseError,
@@ -144,7 +144,7 @@ def _ask(client: LLMClient, tmpl: PromptTemplate, prompt: str, parse, doc_id: st
     for attempt in range(1, MAX_PARSE_ATTEMPTS + 1):
         rendered = prompt if error is None else prompt + REPAIR_SUFFIX.format(error=error)
         try:
-            response = client.complete(user_request(rendered, params=client.params))
+            response = client.complete(rendered)
         except LLMError as exc:
             raise StageError(tmpl.stage, doc_id, str(exc)) from exc
         error = None

@@ -4,7 +4,7 @@ Run from the repository root after any change to the packaged prompt
 templates (cache keys hash the fully rendered prompts, so template edits
 invalidate every cache entry)::
 
-    python3 tests/data/gen_fixtures.py
+    PYTHONPATH=src python3 tests/data/gen_fixtures.py
 
 Produces:
 
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from annoforge.config import build_client, build_templates, load_config
 from annoforge.dataset import emit_training_examples, write_dataset
-from annoforge.llm import ChatResponse, GenerationParams
+from annoforge.llm import ChatRequest, ChatResponse, GenerationParams
 from annoforge.corpus import Document
 from annoforge.pipeline import run_pipeline
 
@@ -278,12 +278,11 @@ class RecordingClient:
         self.cache_path = cache_path
         self.calls = 0
 
-    def complete(self, request):
-        prompt = request.messages[-1].content
+    def complete(self, prompt):
         stage = next(s for s, opener in STAGE_OPENERS.items() if opener in prompt)
         doc = next(d for d in DOCS if d.text[:60] in prompt)
         text = RESPONSES[(doc.doc_id, stage)]
-        key = request.request_key
+        key = ChatRequest(prompt, self.params).request_key
         with open(self.cache_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"request_key": key,
                                  "response_text": text,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from annoforge.llm import ChatResponse, GenerationParams, LLMError
+from annoforge.llm import ChatRequest, ChatResponse, GenerationParams, LLMError
 
 
 class ScriptedClient:
@@ -29,12 +29,12 @@ class ScriptedClient:
                                                  finish_reason=finish_reason)))
         return self
 
-    def complete(self, request) -> ChatResponse:
-        prompt = request.messages[-1].content
+    def complete(self, prompt: str) -> ChatResponse:
         self.calls.append(prompt)
         for needles, response in self.rules:
             if all(n in prompt for n in needles):
-                return replace(response, request_key=request.request_key)
+                return replace(response,
+                               request_key=ChatRequest(prompt, self.params).request_key)
         raise LLMError(f"no scripted response matches: {prompt[:120]!r}")
 
 

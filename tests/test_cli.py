@@ -18,7 +18,7 @@ import annoforge
 import annoforge.dataset
 from annoforge.cli import build_parser, main
 from annoforge.dataset import write_dataset
-from annoforge.llm import ChatMessage, ChatRequest, GenerationParams, ReplayCache, user_request
+from annoforge.llm import ChatRequest, GenerationParams, ReplayCache
 from annoforge.notation import EntityInstance, print_instances
 from annoforge.pipeline import PromptTemplate, default_templates
 from builders import make_records, paris_client, stats_record
@@ -268,10 +268,10 @@ class SlowAfterFirst(ScriptedClient):
     """Answers the first document at once and every other one after a wait,
     so the writer fails while the next two are still in flight."""
 
-    def complete(self, request):
-        if "text 0." not in request.messages[-1].content:
+    def complete(self, prompt):
+        if "text 0." not in prompt:
             time.sleep(0.05)
-        return super().complete(request)
+        return super().complete(prompt)
 
 
 def test_failed_write_stops_generate_early(runner, tmp_path, monkeypatch):
@@ -313,7 +313,7 @@ def doc_of(payload: dict) -> str:
 def fixture_reply(payload: dict):
     """The fixture cache's answer, served over HTTP."""
     request = ChatRequest(
-        messages=tuple(ChatMessage(m["role"], m["content"]) for m in payload["messages"]),
+        payload["messages"][-1]["content"],
         params=GenerationParams(temperature=payload["temperature"],
                                 top_p=payload["top_p"],
                                 max_new_tokens=payload["max_tokens"],
@@ -749,6 +749,15 @@ def test_dataset_path_required_somewhere(runner):
     assert "give a dataset path" in result.stderr
 
 
+@pytest.mark.parametrize("command", [["stats"], ["validate"], ["emit-train"],
+                                     ["overlap", "--labels", DATA / "labels"]])
+def test_directory_as_dataset_is_a_usage_error(runner, tmp_path, command):
+    # like a missing file: exit 2, naming the path
+    result = invoke(runner, *command, tmp_path)
+    assert result.exit_code == 2, result.output + result.stderr
+    assert f"dataset is a directory, not a file: {tmp_path}" in result.stderr
+
+
 # -- stats --------------------------------------------------------------------
 
 def test_stats_table(runner):
@@ -1086,9 +1095,9 @@ assert score([gold], [Prediction(example_id="1", mentions=[("A", "x")])]).f1 == 
 generate_only = ("annoforge.pipeline", "annoforge.llm", "concurrent.futures")
 print(sorted(name for name in generate_only if name in sys.modules))
 
-from annoforge.llm import LLMClient, user_request
+from annoforge.llm import LLMClient
 client = LLMClient(backend="replay", cache_path=cache)
-assert client.complete(user_request(prompt)).text == "cached"
+assert client.complete(prompt).text == "cached"
 http_stack = ("http.client", "requests", "urllib.request")
 print(sorted(name for name in (*http_stack, "yaml") if name in sys.modules))
 """
@@ -1098,7 +1107,7 @@ def test_offline_commands_load_no_http_client_nor_yaml(tmp_path):
     """Start-up cost: the analysis commands load no module only generate
     uses, only an HTTP call imports the HTTP client, and only --config yaml."""
     cache = tmp_path / "cache.jsonl"
-    ReplayCache(cache).put(user_request("hello").request_key, "cached", "stop")
+    ReplayCache(cache).put(ChatRequest("hello").request_key, "cached", "stop")
     env = cli_env()
     result = subprocess.run(
         [sys.executable, "-c", OFFLINE_RUN, str(GOLDEN_DATASET), str(cache), "hello"],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import logging
 import re
@@ -11,8 +12,8 @@ import time
 import pytest
 
 import annoforge
+from annoforge.config import RunConfig, build_client
 from annoforge.llm import (
-    ChatMessage,
     ChatRequest,
     ChatResponse,
     GenerationParams,
@@ -20,7 +21,6 @@ from annoforge.llm import (
     LLMError,
     ReplayCache,
     ReplayCacheMissError,
-    user_request,
 )
 from chatserver import ChatServer, completion
 
@@ -41,24 +41,13 @@ def test_generation_params_validation():
         GenerationParams(max_new_tokens=0)
 
 
-def test_chat_request_invariants():
-    with pytest.raises(ValueError):
-        ChatRequest(messages=())
-    with pytest.raises(ValueError):
-        ChatRequest(messages=(ChatMessage(role="assistant", content="hi"),))
-    with pytest.raises(ValueError):
-        ChatMessage(role="tool", content="x")
-
-
 def test_request_key_matches_canonical_hash():
-    req = ChatRequest(messages=(ChatMessage(role="system", content="You are terse."),
-                                ChatMessage(role="user", content="Say hi")))
+    req = ChatRequest("Say hi")
     # frozen from the first run; also re-derived here from the canonical form
     assert req.request_key == \
-        "bb5255e9e605b9e49303c0ee85a63185cf8cf0700d39875378589cab4618904a"
+        "30684f02c5fff5cc920f24ad0ce72c7195d7a3f8280b3ebed2f039d4f66679da"
     canonical = json.dumps({
-        "messages": [{"role": "system", "content": "You are terse."},
-                     {"role": "user", "content": "Say hi"}],
+        "messages": [{"role": "user", "content": "Say hi"}],
         "params": {"temperature": 0.7, "top_p": 0.95, "max_new_tokens": 1024,
                    "model_name": "default"},
     }, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
@@ -66,20 +55,17 @@ def test_request_key_matches_canonical_hash():
 
 
 def test_request_key_sensitivity():
-    base = user_request("Say hi")
-    assert base.request_key == user_request("Say hi").request_key
-    assert base.request_key != user_request("Say hi!").request_key
-    with_system = ChatRequest(messages=(ChatMessage(role="system", content="be nice"),
-                                        ChatMessage(role="user", content="Say hi")))
-    assert base.request_key != with_system.request_key
+    base = ChatRequest("Say hi")
+    assert base.request_key == ChatRequest("Say hi").request_key
+    assert base.request_key != ChatRequest("Say hi!").request_key
     assert base.request_key != \
-        user_request("Say hi", params=GenerationParams(temperature=0.0)).request_key
+        ChatRequest("Say hi", GenerationParams(temperature=0.0)).request_key
     assert base.request_key != \
-        user_request("Say hi", params=GenerationParams(model_name="m2")).request_key
+        ChatRequest("Say hi", GenerationParams(model_name="m2")).request_key
 
 
 def test_request_key_unicode_stable():
-    req = user_request("Grüße, 世界")
+    req = ChatRequest("Grüße, 世界")
     assert req.request_key == \
         "8bb598869b77579b33f16f36406863f7505fbeb0752dfa06af20d65150643ed2"
 
@@ -164,18 +150,21 @@ def test_zero_parallelism_is_rejected():
         LLMClient(backend="http", base_url="http://127.0.0.1:1", parallelism=0)
 
 
-def test_zero_max_attempts_is_rejected():
-    # zero attempts would send nothing and fail every call
-    with pytest.raises(ValueError, match="max_attempts must be >= 1"):
-        LLMClient(backend="http", base_url="http://127.0.0.1:1", max_attempts=0)
+def test_client_takes_only_what_build_client_passes(monkeypatch):
+    """A parameter no config key reaches is a setting only tests can change."""
+    passed = {}
+    monkeypatch.setattr("annoforge.llm.LLMClient", lambda **kwargs: passed.update(kwargs))
+    build_client(RunConfig())
+    accepted = list(inspect.signature(LLMClient).parameters)
+    assert accepted == list(passed) == \
+        ["backend", "base_url", "cache_path", "params", "parallelism"]
 
 
 def test_replay_serves_cache_without_network(tmp_path, no_network):
-    req = user_request("question")
     cache = ReplayCache(tmp_path / "cache.jsonl")
-    cache.put(req.request_key, "answer", "stop")
+    cache.put(ChatRequest("question").request_key, "answer", "stop")
     client = LLMClient(backend="replay", cache_path=tmp_path / "cache.jsonl")
-    response = client.complete(req)
+    response = client.complete("question")
     assert response.text == "answer"
     assert response.finish_reason == "stop"
 
@@ -183,23 +172,23 @@ def test_replay_serves_cache_without_network(tmp_path, no_network):
 def test_replay_miss_names_key(tmp_path, no_network):
     (tmp_path / "cache.jsonl").write_text("")
     client = LLMClient(backend="replay", cache_path=tmp_path / "cache.jsonl")
-    req = user_request("never asked")
+    key = ChatRequest("never asked").request_key
     with pytest.raises(ReplayCacheMissError) as exc:
-        client.complete(req)
-    assert req.request_key in str(exc.value)
-    assert exc.value.request_key == req.request_key
+        client.complete("never asked")
+    assert key in str(exc.value)
+    assert exc.value.request_key == key
 
 
 def test_no_network_guard_trips_on_an_http_call(chat_server, no_network):
     client = LLMClient(backend="http", base_url=chat_server.base_url)
     with pytest.raises(AssertionError, match="network I/O attempted"):
-        client.complete(user_request("ping"))
+        client.complete("ping")
     assert chat_server.seen == []
 
 
 def test_http_complete(chat_server):
     client = LLMClient(backend="http", base_url=chat_server.base_url)
-    response = client.complete(user_request("ping"))
+    response = client.complete("ping")
     assert response.text == "echo: ping"
     assert response.finish_reason == "stop"
     assert response.usage == {"prompt_tokens": 7, "completion_tokens": 5}
@@ -213,7 +202,7 @@ def test_http_complete(chat_server):
 
 def test_request_shape(chat_server):
     client = LLMClient(backend="http", base_url=chat_server.base_url)
-    client.complete(user_request("Grüße"))
+    client.complete("Grüße")
     sent = chat_server.seen[0]
     headers = sent["headers"]
     assert headers["User-Agent"] == f"annoforge/{annoforge.__version__}"
@@ -228,7 +217,7 @@ def test_request_shape(chat_server):
 def test_api_key_header(chat_server, monkeypatch):
     monkeypatch.setenv("ANNOFORGE_API_KEY", "sekrit")
     client = LLMClient(backend="http", base_url=chat_server.base_url)
-    client.complete(user_request("ping"))
+    client.complete("ping")
     assert chat_server.seen[0]["headers"]["Authorization"] == "Bearer sekrit"
 
 
@@ -236,15 +225,15 @@ def test_record_then_replay_round_trip(chat_server, tmp_path):
     cache_path = tmp_path / "cache.jsonl"
     recorder = LLMClient(backend="record", base_url=chat_server.base_url,
                          cache_path=cache_path)
-    req = user_request("what is 2+2?")
-    recorded = recorder.complete(req)
+    prompt = "what is 2+2?"
+    recorded = recorder.complete(prompt)
     assert len(chat_server.seen) == 1
     # a second record call is served from cache, not the network
-    assert recorder.complete(req).text == recorded.text
+    assert recorder.complete(prompt).text == recorded.text
     assert len(chat_server.seen) == 1
 
     replayer = LLMClient(backend="replay", cache_path=cache_path)
-    replayed = replayer.complete(req)
+    replayed = replayer.complete(prompt)
     assert replayed.text == recorded.text
     assert replayed.finish_reason == recorded.finish_reason
 
@@ -252,10 +241,10 @@ def test_record_then_replay_round_trip(chat_server, tmp_path):
 def test_length_finish_reason_passes_through(chat_server):
     chat_server.responder = lambda payload: (200, completion("cut off", "length"))
     client = LLMClient(backend="http", base_url=chat_server.base_url)
-    assert client.complete(user_request("long")).finish_reason == "length"
+    assert client.complete("long").finish_reason == "length"
 
 
-def test_retries_on_5xx_then_succeeds(chat_server):
+def test_retries_on_5xx_then_succeeds(chat_server, sleeps):
     failures = ["boom", "boom"]
 
     def flaky(payload):
@@ -265,32 +254,31 @@ def test_retries_on_5xx_then_succeeds(chat_server):
         return 200, completion("finally")
 
     chat_server.responder = flaky
-    client = LLMClient(backend="http", base_url=chat_server.base_url, backoff_base=0)
-    assert client.complete(user_request("x")).text == "finally"
+    client = LLMClient(backend="http", base_url=chat_server.base_url)
+    assert client.complete("x").text == "finally"
     assert len(chat_server.seen) == 3
 
 
-def test_gives_up_after_max_attempts(chat_server):
+def test_gives_up_after_max_attempts(chat_server, sleeps):
     chat_server.responder = lambda payload: (503, {"error": "down"})
-    client = LLMClient(backend="http", base_url=chat_server.base_url,
-                       backoff_base=0, max_attempts=3)
+    client = LLMClient(backend="http", base_url=chat_server.base_url)
     with pytest.raises(LLMError, match="giving up after 3 attempts"):
-        client.complete(user_request("x"))
+        client.complete("x")
     assert len(chat_server.seen) == 3
 
 
-def test_429_is_retryable_but_404_is_not(chat_server):
+def test_429_is_retryable_but_404_is_not(chat_server, sleeps, monkeypatch):
+    monkeypatch.setattr("annoforge.llm.MAX_ATTEMPTS", 2)
     chat_server.responder = lambda payload: (429, {"error": "slow down"})
-    client = LLMClient(backend="http", base_url=chat_server.base_url,
-                       backoff_base=0, max_attempts=2)
+    client = LLMClient(backend="http", base_url=chat_server.base_url)
     with pytest.raises(LLMError):
-        client.complete(user_request("x"))
+        client.complete("x")
     assert len(chat_server.seen) == 2
 
     chat_server.seen.clear()
     chat_server.responder = lambda payload: (404, {"error": "no such model"})
     with pytest.raises(LLMError, match="HTTP 404"):
-        client.complete(user_request("x"))
+        client.complete("x")
     assert len(chat_server.seen) == 1
 
 
@@ -311,26 +299,42 @@ def sleeps(monkeypatch):
     (429, "Wed, 21 Oct 2015 07:28:00 GMT", 2, [5, 10]),
     (429, "9999", 1, [30]),
 ])
-def test_retry_waits_for_retry_after(chat_server, sleeps, status, retry_after,
-                                     failures, expected):
+def test_retry_waits_for_retry_after(chat_server, sleeps, monkeypatch, status,
+                                     retry_after, failures, expected):
+    monkeypatch.setattr("annoforge.llm.BACKOFF_BASE", 5)
+    monkeypatch.setattr("annoforge.llm.TIMEOUT", 30)
     replies = [(status, {"error": "wait"},
                 {} if retry_after is None else {"Retry-After": retry_after})] * failures
     chat_server.responder = lambda payload: \
         replies.pop() if replies else (200, completion("done"))
-    client = LLMClient(backend="http", base_url=chat_server.base_url,
-                       backoff_base=5, timeout=30)
-    assert client.complete(user_request("x")).text == "done"
+    client = LLMClient(backend="http", base_url=chat_server.base_url)
+    assert client.complete("x").text == "done"
     assert sleeps == expected
     assert len(chat_server.seen) == failures + 1
 
 
-def test_transport_error_keeps_exponential_backoff(sleeps):
+def test_transport_error_keeps_exponential_backoff(sleeps, monkeypatch):
+    monkeypatch.setattr("annoforge.llm.BACKOFF_BASE", 5)
+    monkeypatch.setattr("annoforge.llm.TIMEOUT", 1)
     # nothing listens on port 1, so every attempt is refused without a response
-    client = LLMClient(backend="http", base_url="http://127.0.0.1:1",
-                       backoff_base=5, timeout=1)
+    client = LLMClient(backend="http", base_url="http://127.0.0.1:1")
     with pytest.raises(LLMError, match="giving up after 3 attempts; transport error"):
-        client.complete(user_request("x"))
+        client.complete("x")
     assert sleeps == [5, 10]
+
+
+def test_default_retry_policy(chat_server, sleeps):
+    # 3 attempts, 1 s then 2 s apart; a Retry-After is capped at 120 s
+    chat_server.responder = lambda payload: (503, {"error": "down"})
+    client = LLMClient(backend="http", base_url=chat_server.base_url)
+    with pytest.raises(LLMError, match="giving up after 3 attempts"):
+        client.complete("x")
+    assert sleeps == [1, 2]
+    chat_server.responder = lambda payload: (429, {"error": "wait"}, {"Retry-After": "9999"})
+    sleeps.clear()
+    with pytest.raises(LLMError):
+        client.complete("x")
+    assert sleeps == [120, 120]
 
 
 class _RawReply(socketserver.StreamRequestHandler):
@@ -363,13 +367,15 @@ def raw_server():
     b"garbage\r\n\r\n",
     b"",
 ], ids=["body-cut-short", "garbage-status-line", "closed-without-reply"])
-def test_broken_replies_are_retried_as_transport_errors(raw_server, sleeps, reply):
+def test_broken_replies_are_retried_as_transport_errors(raw_server, sleeps, monkeypatch,
+                                                       reply):
+    monkeypatch.setattr("annoforge.llm.BACKOFF_BASE", 5)
+    monkeypatch.setattr("annoforge.llm.TIMEOUT", 5)
     raw_server.reply = reply
     host, port = raw_server.server_address
-    client = LLMClient(backend="http", base_url=f"http://{host}:{port}",
-                       backoff_base=5, timeout=5)
+    client = LLMClient(backend="http", base_url=f"http://{host}:{port}")
     with pytest.raises(LLMError, match="^giving up after 3 attempts; transport error: "):
-        client.complete(user_request("x"))
+        client.complete("x")
     assert raw_server.connections == 3
     assert sleeps == [5, 10]
 
@@ -378,7 +384,7 @@ def test_429_with_retry_after_still_gives_up_after_three(chat_server, sleeps):
     chat_server.responder = lambda payload: (429, {"error": "wait"}, {"Retry-After": "0"})
     client = LLMClient(backend="http", base_url=chat_server.base_url)
     with pytest.raises(LLMError, match="giving up after 3 attempts"):
-        client.complete(user_request("x"))
+        client.complete("x")
     assert len(chat_server.seen) == 3
     assert sleeps == [0, 0]
 
@@ -387,7 +393,7 @@ def test_malformed_response_is_an_error(chat_server):
     chat_server.responder = lambda payload: (200, {"surprise": True})
     client = LLMClient(backend="http", base_url=chat_server.base_url)
     with pytest.raises(LLMError, match="malformed endpoint response"):
-        client.complete(user_request("x"))
+        client.complete("x")
 
 
 def test_chat_response_shape():
@@ -420,7 +426,7 @@ def test_parallelism_bounds_requests_in_flight(chat_server):
     chat_server.responder = slow
     client = LLMClient(backend="http", base_url=chat_server.base_url, parallelism=2)
     texts = []
-    run_threads([lambda i=i: texts.append(client.complete(user_request(f"q{i}")).text)
+    run_threads([lambda i=i: texts.append(client.complete(f"q{i}").text)
                  for i in range(6)])
     assert sorted(texts) == [f"echo: q{i}" for i in range(6)]
     assert handling["peak"] == 2
@@ -444,9 +450,9 @@ def test_waiting_retry_holds_no_slot(chat_server):
 
     def ask_b():
         assert first_sent.wait(5)
-        client.complete(user_request("B"))
+        client.complete("B")
         events.append("B answered")
 
-    run_threads([lambda: client.complete(user_request("A")), ask_b])
+    run_threads([lambda: client.complete("A"), ask_b])
     # B is sent and answered while A waits out its Retry-After
     assert events == ["A sent", "B sent", "B answered", "A sent"]

@@ -387,12 +387,11 @@ class FirstDocsLast(ScriptedClient):
         self.second_done = threading.Event()
         self.unknown_done = threading.Event()
 
-    def complete(self, request):
-        prompt = request.messages[-1].content
+    def complete(self, prompt):
         if DOC.text in prompt or BROKEN_DOC.text in prompt:
             assert self.second_done.wait(5) and self.unknown_done.wait(5)
         try:
-            return super().complete(request)
+            return super().complete(prompt)
         finally:
             if INSTANCES in prompt and SECOND_DOC.text in prompt:
                 self.second_done.set()

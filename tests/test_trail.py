@@ -11,7 +11,7 @@ from pathlib import Path
 from annoforge.cli import main
 from annoforge.config import build_client, build_templates, load_config
 from annoforge.corpus import Document
-from annoforge.llm import user_request
+from annoforge.llm import ChatRequest
 from annoforge.notation import parse_guidelines, print_guidelines
 from annoforge.pipeline import (
     REPAIR_SUFFIX,
@@ -81,7 +81,7 @@ def test_golden_trail_rebuilds_every_prompt(tmp_path):
     prompts = rebuild_prompts(lines, texts, build_templates(cfg))
     assert len(prompts) == 20
     for line, prompt in zip(lines, prompts):
-        key = user_request(prompt, params=params).request_key
+        key = ChatRequest(prompt, params).request_key
         assert key == line["request_key"]
         assert key in cached
         assert len(prompt) == line["prompt_chars"]
@@ -120,7 +120,7 @@ def test_repairs_rebuild_exactly_the_prompts_sent():
     # two documents run at once, so the calls interleave across them
     assert sorted(prompts) == sorted(client.calls)
     for line, prompt in zip(lines, prompts):
-        assert line["request_key"] == user_request(prompt, params=client.params).request_key
+        assert line["request_key"] == ChatRequest(prompt, client.params).request_key
         assert line["prompt_chars"] == len(prompt)
 
 
