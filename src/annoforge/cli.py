@@ -48,6 +48,8 @@ def _resolve_dataset(opts: argparse.Namespace) -> Path:
         raise ConfigError("give a dataset path, or --config/--output-dir to locate one")
     if path.is_dir():  # a usage error, as a missing file is
         raise ConfigError(f"dataset is a directory, not a file: {path}")
+    if not path.exists():  # also a path under a file, which cannot exist
+        raise ConfigError(f"dataset not found: {path}")
     return path
 
 
@@ -269,6 +271,18 @@ def _existing_path(value: str) -> str:
     return value
 
 
+def _existing_dir(value: str) -> str:
+    if not os.path.isdir(_existing_path(value)):
+        raise argparse.ArgumentTypeError(f"path {value!r} is not a directory")
+    return value
+
+
+def _existing_file(value: str) -> str:
+    if os.path.isdir(_existing_path(value)):
+        raise argparse.ArgumentTypeError(f"path {value!r} is a directory, not a file")
+    return value
+
+
 def _positive_int(value: str) -> int:
     try:
         number = int(value)
@@ -340,11 +354,11 @@ def build_parser(prog: str | None = None) -> argparse.ArgumentParser:
                      help="Training file to write (default: train.jsonl beside the dataset).")
 
     sub = command("eval", eval_cmd)
-    sub.add_argument("gold_dir", type=_existing_path, metavar="GOLD_DIR")
-    sub.add_argument("pred_dir", type=_existing_path, metavar="PRED_DIR")
+    sub.add_argument("gold_dir", type=_existing_dir, metavar="GOLD_DIR")
+    sub.add_argument("pred_dir", type=_existing_dir, metavar="PRED_DIR")
     sub.add_argument("--matching", choices=["exact", "normalized"], default="exact",
                      help="Span matching (default: exact).")
-    sub.add_argument("--schema", dest="schema_path", type=_existing_path, metavar="PATH",
+    sub.add_argument("--schema", dest="schema_path", type=_existing_file, metavar="PATH",
                      help="Guidelines file used to pick each class's mention field.")
     sub.add_argument("--json", dest="as_json", action="store_true",
                      help="Machine-readable output.")

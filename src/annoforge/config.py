@@ -29,6 +29,7 @@ Layout::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -123,8 +124,10 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):  # the latter: a path under a file
         raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config file is a directory: {path}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     if raw is None:
@@ -169,6 +172,8 @@ def load_config(path: str | Path) -> RunConfig:
     cfg.model_name = _string(client.get("model", cfg.model_name), "client.model")
     cfg.temperature = _convert(float, client.get("temperature", cfg.temperature),
                                "client.temperature")
+    if not math.isfinite(cfg.temperature):  # NaN would pass every range check
+        raise ConfigError(f"client.temperature must be finite, got {cfg.temperature!r}")
     cfg.top_p = _convert(float, client.get("top_p", cfg.top_p), "client.top_p")
     cfg.max_new_tokens = _convert(int, client.get("max_new_tokens", cfg.max_new_tokens),
                                   "client.max_new_tokens")

@@ -24,19 +24,29 @@ Three backends share one interface:
 
 The cache file is mended by ``jsonl.mend``, under ``replay`` too, before it loads.
 
-The request key hashes the rendered prompt, as its one user message, plus the
+The request key hashes the prompt, as its one user message, plus the
 generation parameters, canonically serialized, so it is stable across runs and
-platforms and any prompt edit invalidates stale cache entries.
+platforms and any prompt edit invalidates stale cache entries. A prompt arrives
+as parts (template text and bound values), and the key is hashed part by part:
+the one-message canonical payload's head, each part's JSON escape, then its
+tail. The ``ensure_ascii`` escape maps each code point on its own, so the
+escapes of the parts concatenate to the escape of the joined prompt, and the
+key equals the hash of the whole payload. Escapes are memoized per part, so a
+document quoted by all four stage prompts is escaped once, not once per call.
+Only an HTTP call joins the parts, for the request body.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -50,6 +60,12 @@ USER_AGENT = f"annoforge/{__version__}"  # not urllib's default, which some gate
 TIMEOUT = 120.0  # seconds per HTTP attempt, and the cap on a Retry-After wait
 MAX_ATTEMPTS = 3
 BACKOFF_BASE = 1.0  # seconds before the second attempt, doubled before each later one
+# Prompt parts whose escapes are kept. It must hold the parts of the documents
+# in flight, pipeline.DOC_WORKERS_PER_SLOT x parallelism of them at about five
+# parts each (the document, earlier answers, a repair note), plus about 20
+# template pieces: 64 covers parallelism 4. Past that, keys stay right and a
+# part is only escaped again. Each kept escape is about as large as its part.
+ESCAPE_MEMO_SIZE = 64
 
 
 class LLMError(Exception):
@@ -70,23 +86,31 @@ class GenerationParams:
     model_name: str = "default"
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be a finite number >= 0")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
         if self.max_new_tokens < 1:
             raise ConfigError("max_new_tokens must be positive")
 
 
+@functools.lru_cache(maxsize=ESCAPE_MEMO_SIZE)
+def _escaped(part: str) -> bytes:
+    """``part`` as canonical JSON string content: ``ensure_ascii`` escapes, no quotes."""
+    return encode_basestring_ascii(part)[1:-1].encode("ascii")
+
+
 @dataclass(frozen=True)
 class ChatRequest:
-    prompt: str  # sent as the one user message
+    parts: tuple[str, ...]  # joined, the one user message
     params: GenerationParams = field(default_factory=GenerationParams)
 
     @property
     def request_key(self) -> str:
+        """sha256 of the canonical payload ``{"messages": [{"role": "user",
+        "content": PROMPT}], "params": {...}}`` (sorted keys, ASCII, no spaces)."""
         payload = {
-            "messages": [{"role": "user", "content": self.prompt}],
+            "messages": [{"role": "user", "content": ""}],
             "params": {
                 "temperature": self.params.temperature,
                 "top_p": self.params.top_p,
@@ -94,9 +118,15 @@ class ChatRequest:
                 "model_name": self.params.model_name,
             },
         }
-        canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
+        frame = json.dumps(payload, sort_keys=True, ensure_ascii=True,
+                           separators=(",", ":"), allow_nan=False).encode("ascii")
+        # the parts' escapes go between the quotes of the frame's empty content
+        head, tail = frame.split(b'"content":""', 1)
+        digest = hashlib.sha256(head + b'"content":"')
+        for part in self.parts:
+            digest.update(_escaped(part))
+        digest.update(b'"' + tail)
+        return digest.hexdigest()
 
 
 @dataclass
@@ -114,6 +144,8 @@ class ReplayCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[str, str]] = {}
+        if self.path.is_dir():
+            raise ConfigError(f"cache is a directory, not a file: {self.path}")
         if self.path.exists():
             jsonl.mend(self.path)
             self._entries = dict(entry for _, entry in
@@ -173,9 +205,10 @@ class LLMClient:
         self.cache = (ReplayCache(cache_path, must_exist=backend == "replay")
                       if cache_path else None)
 
-    def complete(self, prompt: str) -> ChatResponse:
-        """Ask ``prompt``; raises LLMError when no response can be produced."""
-        request = ChatRequest(prompt, self.params)
+    def complete(self, *parts: str) -> ChatResponse:
+        """Ask the prompt ``parts`` join to; raises LLMError when no response
+        can be produced."""
+        request = ChatRequest(parts, self.params)
         key = request.request_key
         if self.backend == "replay" or (self.backend == "record" and key in self.cache):
             text, finish_reason = self.cache.get(key)
@@ -191,7 +224,7 @@ class LLMClient:
 
         body = {
             "model": request.params.model_name,
-            "messages": [{"role": "user", "content": request.prompt}],
+            "messages": [{"role": "user", "content": "".join(request.parts)}],
             "temperature": request.params.temperature,
             "top_p": request.params.top_p,
             "max_tokens": request.params.max_new_tokens,
@@ -230,6 +263,7 @@ class LLMClient:
             payload = json.loads(reply)
             choice = payload["choices"][0]
             text = choice["message"]["content"]
+            str.encode(text, "utf-8")  # a str the trail can write: no lone surrogate
         except (ValueError, LookupError, TypeError) as exc:
             raise LLMError(f"malformed endpoint response: {exc}") from exc
         finish_reason = choice.get("finish_reason")

@@ -75,6 +75,8 @@ class PromptTemplate:
     stage: str
     template_text: str
     version: str = field(init=False)
+    # the text between placeholders and the placeholders' names, alternating
+    pieces: list[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
@@ -90,14 +92,21 @@ class PromptTemplate:
                 raise ValueError(f"{self.stage} template must not use {{{name}}}")
         digest = hashlib.sha256(self.template_text.encode("utf-8")).hexdigest()
         self.version = digest[:8]
+        self.pieces = _PLACEHOLDER_RE.split(self.template_text)
 
-    def render(self, **bindings: str) -> str:
+    def render(self, **bindings: str) -> tuple[str, ...]:
+        """The prompt's parts, in order: template text and bound values.
+
+        Each value is its binding's own string object, so a document bound in
+        several prompts keeps one memoized escape for the request key.
+        Placeholder-like text inside a binding is left alone.
+        """
         required = STAGE_PLACEHOLDERS[self.stage]
         missing = [name for name in required if name not in bindings]
         if missing:
             raise ValueError(f"unbound placeholders: {missing}")
-        # single pass, so placeholder-like text inside bindings is left alone
-        return _PLACEHOLDER_RE.sub(lambda m: bindings[m.group(1)], self.template_text)
+        return tuple(bindings[piece] if i % 2 else piece
+                     for i, piece in enumerate(self.pieces))
 
 
 def load_template(path: str | Path, stage: str) -> PromptTemplate:
@@ -137,14 +146,14 @@ class RejectEntry:
 Outcome = tuple[DatasetRecord | None, RejectEntry | None, list[StageRecord]]
 
 
-def _ask(client: LLMClient, tmpl: PromptTemplate, prompt: str, parse, doc_id: str,
-         trail: list[StageRecord]):
+def _ask(client: LLMClient, tmpl: PromptTemplate, prompt: tuple[str, ...], parse,
+         doc_id: str, trail: list[StageRecord]):
     """Ask, parse, and re-ask with the parser's complaint appended on failure."""
     error = None
     for attempt in range(1, MAX_PARSE_ATTEMPTS + 1):
-        rendered = prompt if error is None else prompt + REPAIR_SUFFIX.format(error=error)
+        parts = prompt if error is None else (*prompt, REPAIR_SUFFIX.format(error=error))
         try:
-            response = client.complete(rendered)
+            response = client.complete(*parts)
         except LLMError as exc:
             raise StageError(tmpl.stage, doc_id, str(exc)) from exc
         error = None
@@ -158,7 +167,7 @@ def _ask(client: LLMClient, tmpl: PromptTemplate, prompt: str, parse, doc_id: st
         trail.append(StageRecord(doc_id=doc_id, stage=tmpl.stage, attempt=attempt,
                                  parsed_ok=error is None, raw_response=response.text,
                                  request_key=response.request_key,
-                                 template=tmpl.version, prompt_chars=len(rendered),
+                                 template=tmpl.version, prompt_chars=sum(map(len, parts)),
                                  error=error, usage=response.usage))
         if error is None:
             return value

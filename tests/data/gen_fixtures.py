@@ -278,11 +278,12 @@ class RecordingClient:
         self.cache_path = cache_path
         self.calls = 0
 
-    def complete(self, prompt):
+    def complete(self, *parts):
+        prompt = "".join(parts)
         stage = next(s for s, opener in STAGE_OPENERS.items() if opener in prompt)
         doc = next(d for d in DOCS if d.text[:60] in prompt)
         text = RESPONSES[(doc.doc_id, stage)]
-        key = ChatRequest(prompt, self.params).request_key
+        key = ChatRequest(parts, self.params).request_key
         with open(self.cache_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"request_key": key,
                                  "response_text": text,

@@ -4,10 +4,13 @@ Deliberately independent of the package internals. The scorers decide
 matching by trying every pred-gold pairing (branch and bound over
 assignments) instead of counter arithmetic. The instance parser walks the
 text one character at a time; only its result types come from the package.
+The request key is one ``json.dumps`` of the whole payload, hashed at once.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 
 from annoforge.notation import EntityInstance, InstanceSet, ParseError
@@ -228,3 +231,16 @@ def _parse_string(cur: _Cursor) -> str:
         else:
             out.append(c)
             cur.pos += 1
+
+
+def oracle_request_key(prompt: str, params) -> str:
+    """sha256 of the canonical one-message payload, serialized in one piece."""
+    payload = {
+        "messages": [{"role": "user", "content": prompt}],
+        "params": {"temperature": params.temperature, "top_p": params.top_p,
+                   "max_new_tokens": params.max_new_tokens,
+                   "model_name": params.model_name},
+    }
+    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()

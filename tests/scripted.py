@@ -29,12 +29,13 @@ class ScriptedClient:
                                                  finish_reason=finish_reason)))
         return self
 
-    def complete(self, prompt: str) -> ChatResponse:
+    def complete(self, *parts: str) -> ChatResponse:
+        prompt = "".join(parts)
         self.calls.append(prompt)
         for needles, response in self.rules:
             if all(n in prompt for n in needles):
                 return replace(response,
-                               request_key=ChatRequest(prompt, self.params).request_key)
+                               request_key=ChatRequest(parts, self.params).request_key)
         raise LLMError(f"no scripted response matches: {prompt[:120]!r}")
 
 

@@ -268,10 +268,10 @@ class SlowAfterFirst(ScriptedClient):
     """Answers the first document at once and every other one after a wait,
     so the writer fails while the next two are still in flight."""
 
-    def complete(self, prompt):
-        if "text 0." not in prompt:
+    def complete(self, *parts):
+        if "text 0." not in "".join(parts):
             time.sleep(0.05)
-        return super().complete(prompt)
+        return super().complete(*parts)
 
 
 def test_failed_write_stops_generate_early(runner, tmp_path, monkeypatch):
@@ -313,7 +313,7 @@ def doc_of(payload: dict) -> str:
 def fixture_reply(payload: dict):
     """The fixture cache's answer, served over HTTP."""
     request = ChatRequest(
-        payload["messages"][-1]["content"],
+        (payload["messages"][-1]["content"],),
         params=GenerationParams(temperature=payload["temperature"],
                                 top_p=payload["top_p"],
                                 max_new_tokens=payload["max_tokens"],
@@ -408,6 +408,34 @@ def test_record_miss_writes_token_usage_to_the_trail(runner, tmp_path, chat_serv
     assert len(chat_server.seen) == 20
 
 
+@pytest.mark.parametrize("content", ["A summary \ud83d cut short", None],
+                         ids=["lone-surrogate", "null"])
+def test_a_reply_the_trail_cannot_hold_rejects_only_its_document(runner, tmp_path,
+                                                                 chat_server, content):
+    bad_doc = list(FIXTURE_DOCS)[2]
+
+    def one_bad_summary(payload):
+        if doc_of(payload) == bad_doc and \
+                "You are preparing a document" in payload["messages"][-1]["content"]:
+            return 200, completion(content)
+        return fixture_reply(payload)
+
+    chat_server.responder = one_bad_summary
+    config = tmp_path / "http.yaml"
+    config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
+                      f"client: {{backend: http, base_url: {chat_server.base_url}, "
+                      "model: fixture}\n", encoding="utf-8")
+    result = invoke(runner, "--config", config, "--output-dir", tmp_path, "generate")
+    assert result.exit_code == 0, result.output + result.stderr
+    assert "generated 4 records (4 total, 1 rejected)" in result.output
+    [reject] = [json.loads(line) for line in
+                (tmp_path / "rejects.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert (reject["doc_id"], reject["stage"]) == (bad_doc, "summarize")
+    assert reject["reason"].startswith("malformed endpoint response")
+    records = without_clock(tmp_path / "dataset.jsonl")[1:]
+    assert [r["doc_id"] for r in records] == [d for d in FIXTURE_DOCS if d != bad_doc]
+
+
 def test_generate_logs_about_twenty_progress_lines(runner, tmp_path, monkeypatch, caplog):
     paris_corpus(tmp_path, 40)
     client = paris_client()
@@ -479,6 +507,19 @@ def test_config_section_that_is_not_a_mapping_is_config_error(runner, tmp_path, 
                     "--output-dir", tmp_path, "generate")
     assert result.exit_code == 2
     assert f"error: {section.split(':')[0]} must be a mapping, got" in result.stderr
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "nan"])
+def test_non_finite_temperature_is_config_error(runner, tmp_path, value):
+    # NaN passes a "< 0" check, and no cached key would ever match it
+    (tmp_path / "cfg.yaml").write_text(
+        f"corpus: {DATA / 'docs.jsonl'}\n"
+        f"client: {{backend: replay, cache: {DATA / 'cache.jsonl'}, model: fixture, "
+        f"temperature: {value}}}\n", encoding="utf-8")
+    result = invoke(runner, "--config", tmp_path / "cfg.yaml",
+                    "--output-dir", tmp_path, "generate")
+    assert result.exit_code == 2, result.output + result.stderr
+    assert "error: client.temperature must be finite, got " in result.stderr
 
 
 def test_missing_replay_cache_is_config_error(runner, tmp_path):
@@ -990,6 +1031,118 @@ def test_eval_schema_that_is_not_guidelines_names_the_file(runner, tmp_path):
         in result.stderr
 
 
+# -- input faults -------------------------------------------------------------
+
+def faulty_input(tmp_path: Path, fault: str) -> Path:
+    """A path in ``tmp_path`` to an input with ``fault``."""
+    path = tmp_path / "input.jsonl"
+    if fault == "under-a-file":
+        (tmp_path / "file").write_text("x\n", encoding="utf-8")
+        return tmp_path / "file" / "input.jsonl"
+    if fault == "corrupt-record":
+        return corrupted_dataset(tmp_path, "instances")
+    if fault in ("directory", "dir-of-empty-file"):
+        path.mkdir()
+        if fault == "dir-of-empty-file":
+            (path / "movies.jsonl").write_text("", encoding="utf-8")
+        return path
+    path.write_text({
+        "empty-file": "",
+        "header-only": GOLDEN_DATASET.read_text(encoding="utf-8").splitlines()[0] + "\n",
+        "not-json": "hello world\n",
+        "no-text": '{"id": "a", "body": "no text field"}\n',
+    }[fault], encoding="utf-8")
+    return path
+
+
+DATASET_COMMANDS = {
+    "validate": ["validate", "{input}", "--out", "{tmp}/out.jsonl"],
+    "stats": ["stats", "{input}"],
+    "emit-train": ["emit-train", "{input}", "--out", "{tmp}/train.jsonl"],
+    "overlap": ["overlap", "{input}", "--labels", str(DATA / "labels")],
+}
+EVAL_GOLD, EVAL_PRED = str(DATA / "eval" / "gold"), str(DATA / "eval" / "pred")
+GENERATE = ["--config", "{tmp}/cfg.yaml", "--output-dir", "{tmp}/out", "generate"]
+REPLAY = f"backend: replay, cache: {DATA / 'cache.jsonl'}, model: fixture"
+CORPUS_CONFIG = "corpus: {input}\nclient: {" + REPLAY + "}\n"
+CACHE_CONFIG = f"corpus: {DATA / 'docs.jsonl'}\n" "client: {backend: replay, cache: {input}}\n"
+
+# (row id, command line, config file or None, fault, exit code, text stderr holds);
+# "{input}" is the faulty path and "{tmp}" the test's directory. The exit code
+# follows the cli docstring: 2 for a usage or configuration error, which
+# includes a path that is missing, is a directory where a file belongs (or the
+# reverse) or lies under a file; 3 for an input whose content is at fault,
+# named with its line where it has one; 0 or 1 where the input is merely empty.
+INPUT_FAULTS = [
+    *[(f"{name}-{fault}", args, None, fault, code, named)
+      for name, args in DATASET_COMMANDS.items()
+      for fault, code, named in [
+          ("empty-file", 3, "{input}: missing dataset header"),
+          ("not-json", 3, "{input}:1: missing dataset header"),
+          ("corrupt-record", 3, "{input}:3: corrupt record"),
+          ("directory", 2, "error: dataset is a directory, not a file: {input}"),
+          ("under-a-file", 2, "error: dataset not found: {input}"),
+      ]],
+    *[(f"{name}-header-only", DATASET_COMMANDS[name], None, "header-only", 0, None)
+      for name in ("validate", "stats", "emit-train")],
+    ("overlap-header-only", DATASET_COMMANDS["overlap"], None, "header-only", 3,
+     "{input}: dataset label set is empty"),
+    ("overlap-labels-empty-dir", ["overlap", str(GOLDEN_DATASET), "--labels", "{input}"],
+     None, "directory", 2, "error: no label files in {input}"),
+    ("overlap-labels-file", ["overlap", str(GOLDEN_DATASET), "--labels", "{input}"],
+     None, "not-json", 2, "error: no label files in {input}"),
+    ("eval-schema-not-guidelines", ["eval", EVAL_GOLD, EVAL_PRED, "--schema", "{input}"],
+     None, "not-json", 3, "{input}: line 1, col 1"),
+    ("eval-schema-directory", ["eval", EVAL_GOLD, EVAL_PRED, "--schema", "{input}"],
+     None, "directory", 2, "path '{input}' is a directory, not a file"),
+    ("eval-gold-empty-dir", ["eval", "{input}", EVAL_PRED], None, "directory", 2,
+     "error: no gold files in {input}"),
+    ("eval-gold-file", ["eval", "{input}", EVAL_PRED], None, "empty-file", 2,
+     "path '{input}' is not a directory"),
+    ("eval-pred-file", ["eval", EVAL_GOLD, "{input}"], None, "empty-file", 2,
+     "path '{input}' is not a directory"),
+    ("eval-empty-files", ["eval", "{input}", "{input}"], None, "dir-of-empty-file", 0, None),
+    ("generate-corpus-no-text", GENERATE, CORPUS_CONFIG, "no-text", 3,
+     "{input}:1: record has no text"),
+    ("generate-corpus-not-json", GENERATE, CORPUS_CONFIG, "not-json", 3,
+     "{input}:1: invalid JSON"),
+    ("generate-corpus-empty-file", GENERATE, CORPUS_CONFIG, "empty-file", 1, None),
+    ("generate-corpus-empty-dir", GENERATE, CORPUS_CONFIG, "directory", 1, None),
+    ("generate-corpus-under-a-file", GENERATE, CORPUS_CONFIG, "under-a-file", 2,
+     "error: corpus not found: {input}"),
+    ("generate-cache-not-json", GENERATE, CACHE_CONFIG, "not-json", 3,
+     "{input}:1: corrupt cache entry"),
+    ("generate-cache-directory", GENERATE, CACHE_CONFIG, "directory", 2,
+     "error: cache is a directory, not a file: {input}"),
+    ("generate-cache-under-a-file", GENERATE, CACHE_CONFIG, "under-a-file", 2,
+     "error: replay cache not found: {input}"),
+    ("generate-config-not-mapping", ["--config", "{input}", "generate"], None, "not-json",
+     2, "error: {input}: expected a mapping at top level"),
+    ("generate-config-directory", ["--config", "{input}", "generate"], None, "directory",
+     2, "error: config file is a directory: {input}"),
+    ("generate-config-under-a-file", ["--config", "{input}", "generate"], None,
+     "under-a-file", 2, "error: config file not found: {input}"),
+]
+
+
+@pytest.mark.parametrize("args, config, fault, code, named",
+                         [row[1:] for row in INPUT_FAULTS],
+                         ids=[row[0] for row in INPUT_FAULTS])
+def test_each_input_fault_exits_by_the_rule_and_names_its_input(
+        runner, tmp_path, args, config, fault, code, named):
+    path = faulty_input(tmp_path, fault)
+
+    def fill(text: str) -> str:
+        return text.replace("{input}", str(path)).replace("{tmp}", str(tmp_path))
+
+    if config is not None:
+        (tmp_path / "cfg.yaml").write_text(fill(config), encoding="utf-8")
+    result = invoke(runner, "--quiet", *map(fill, args))
+    assert result.exit_code == code, result.output + result.stderr
+    if named is not None:
+        assert fill(named) in result.stderr
+
+
 # -- misc ---------------------------------------------------------------------
 
 def test_quiet_flag_accepted(runner):
@@ -1107,7 +1260,7 @@ def test_offline_commands_load_no_http_client_nor_yaml(tmp_path):
     """Start-up cost: the analysis commands load no module only generate
     uses, only an HTTP call imports the HTTP client, and only --config yaml."""
     cache = tmp_path / "cache.jsonl"
-    ReplayCache(cache).put(ChatRequest("hello").request_key, "cached", "stop")
+    ReplayCache(cache).put(ChatRequest(("hello",)).request_key, "cached", "stop")
     env = cli_env()
     result = subprocess.run(
         [sys.executable, "-c", OFFLINE_RUN, str(GOLDEN_DATASET), str(cache), "hello"],

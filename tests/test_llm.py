@@ -1,15 +1,17 @@
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import logging
 import re
 import socketserver
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import annoforge
 from annoforge.config import RunConfig, build_client
@@ -23,6 +25,7 @@ from annoforge.llm import (
     ReplayCacheMissError,
 )
 from chatserver import ChatServer, completion
+from oracles import oracle_request_key
 
 
 def test_generation_params_defaults():
@@ -42,32 +45,54 @@ def test_generation_params_validation():
 
 
 def test_request_key_matches_canonical_hash():
-    req = ChatRequest("Say hi")
+    req = ChatRequest(("Say hi",))
     # frozen from the first run; also re-derived here from the canonical form
     assert req.request_key == \
         "30684f02c5fff5cc920f24ad0ce72c7195d7a3f8280b3ebed2f039d4f66679da"
-    canonical = json.dumps({
-        "messages": [{"role": "user", "content": "Say hi"}],
-        "params": {"temperature": 0.7, "top_p": 0.95, "max_new_tokens": 1024,
-                   "model_name": "default"},
-    }, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-    assert req.request_key == hashlib.sha256(canonical.encode("ascii")).hexdigest()
+    assert req.request_key == oracle_request_key("Say hi", GenerationParams())
 
 
 def test_request_key_sensitivity():
-    base = ChatRequest("Say hi")
-    assert base.request_key == ChatRequest("Say hi").request_key
-    assert base.request_key != ChatRequest("Say hi!").request_key
+    base = ChatRequest(("Say hi",))
+    assert base.request_key == ChatRequest(("Say hi",)).request_key
+    assert base.request_key != ChatRequest(("Say hi!",)).request_key
     assert base.request_key != \
-        ChatRequest("Say hi", GenerationParams(temperature=0.0)).request_key
+        ChatRequest(("Say hi",), GenerationParams(temperature=0.0)).request_key
     assert base.request_key != \
-        ChatRequest("Say hi", GenerationParams(model_name="m2")).request_key
+        ChatRequest(("Say hi",), GenerationParams(model_name="m2")).request_key
 
 
 def test_request_key_unicode_stable():
-    req = ChatRequest("Grüße, 世界")
+    req = ChatRequest(("Grüße, 世界",))
     assert req.request_key == \
         "8bb598869b77579b33f16f36406863f7505fbeb0752dfa06af20d65150643ed2"
+
+
+# what JSON escapes (quote, backslash, controls), DEL, non-ASCII, a non-BMP
+# character (a surrogate pair when escaped) and lone surrogates of both halves
+KEY_CHARS = st.one_of(st.sampled_from('"\\\x7fé世\U0001f600\ud83d\ude00'),
+                      st.characters(max_codepoint=0x1f),
+                      st.characters(exclude_categories=()))
+PARTS = st.lists(st.text(KEY_CHARS, max_size=12), max_size=6)
+PARAMS = st.builds(GenerationParams, temperature=st.floats(0, 2),
+                   top_p=st.floats(0.01, 1), max_new_tokens=st.integers(1, 4096),
+                   model_name=st.text(KEY_CHARS, min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARTS, PARAMS)
+def test_request_key_of_parts_is_the_key_of_their_join(parts, params):
+    assert ChatRequest(tuple(parts), params).request_key == \
+        oracle_request_key("".join(parts), params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(KEY_CHARS, max_size=30), st.lists(st.integers(0, 30), max_size=5))
+def test_every_split_of_a_prompt_gives_one_key(text, cuts):
+    cuts = sorted(min(cut, len(text)) for cut in cuts)
+    parts = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    assert "".join(parts) == text
+    assert ChatRequest(tuple(parts)).request_key == ChatRequest((text,)).request_key
 
 
 def test_replay_cache_round_trip(tmp_path):
@@ -162,7 +187,7 @@ def test_client_takes_only_what_build_client_passes(monkeypatch):
 
 def test_replay_serves_cache_without_network(tmp_path, no_network):
     cache = ReplayCache(tmp_path / "cache.jsonl")
-    cache.put(ChatRequest("question").request_key, "answer", "stop")
+    cache.put(ChatRequest(("question",)).request_key, "answer", "stop")
     client = LLMClient(backend="replay", cache_path=tmp_path / "cache.jsonl")
     response = client.complete("question")
     assert response.text == "answer"
@@ -172,7 +197,7 @@ def test_replay_serves_cache_without_network(tmp_path, no_network):
 def test_replay_miss_names_key(tmp_path, no_network):
     (tmp_path / "cache.jsonl").write_text("")
     client = LLMClient(backend="replay", cache_path=tmp_path / "cache.jsonl")
-    key = ChatRequest("never asked").request_key
+    key = ChatRequest(("never asked",)).request_key
     with pytest.raises(ReplayCacheMissError) as exc:
         client.complete("never asked")
     assert key in str(exc.value)
@@ -408,6 +433,29 @@ def run_threads(targets, timeout=10):
     for thread in threads:
         thread.join(timeout)
         assert not thread.is_alive()
+
+
+def test_request_keys_stay_right_when_threads_share_the_escape_memo():
+    # more distinct parts than the memo holds, so threads evict each other's
+    documents = [f"document {i}: " + "Grüße \"quoted\" \ud83d\n" * 300 for i in range(90)]
+    requests = [ChatRequest((f"Stage {i % 4}: ", documents[i % 90], f" answer {i}"))
+                for i in range(360)]
+    expected = [oracle_request_key("".join(r.parts), r.params) for r in requests]
+    wrong = []
+
+    def worker(offset: int) -> None:
+        for i in range(offset, offset + len(requests)):
+            request = requests[i % len(requests)]
+            if request.request_key != expected[i % len(requests)]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_threads([lambda k=k: worker(k * 45) for k in range(8)], timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_parallelism_bounds_requests_in_flight(chat_server):

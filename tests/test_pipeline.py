@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from annoforge import llm
 from annoforge.corpus import Document
 from annoforge.dataset import record_to_dict
 from annoforge.notation import print_guidelines
@@ -22,7 +23,7 @@ from annoforge.pipeline import (
     structured_to_json,
     truncate_document,
 )
-from builders import collect
+from builders import collect, paris_client
 from scripted import GUIDELINES, INSTANCES, REPAIR, STRUCTURE, SUMMARIZE, ScriptedClient
 
 DOC = Document(doc_id="ml-01",
@@ -78,7 +79,7 @@ def test_template_placeholder_validation():
 
 def test_template_render_is_single_pass():
     tmpl = PromptTemplate(stage="structure", template_text="D={document} S={summary}")
-    out = tmpl.render(document="doc has {summary} inside", summary="s")
+    out = "".join(tmpl.render(document="doc has {summary} inside", summary="s"))
     # the placeholder-like text inside the document binding is left alone
     assert out == "D=doc has {summary} inside S=s"
     with pytest.raises(ValueError, match="unbound placeholders"):
@@ -88,7 +89,7 @@ def test_template_render_is_single_pass():
 def test_template_literal_braces_survive():
     tmpl = PromptTemplate(stage="summarize",
                           template_text='Reply {"answer": ...} for {document}')
-    assert tmpl.render(document="d") == 'Reply {"answer": ...} for d'
+    assert "".join(tmpl.render(document="d")) == 'Reply {"answer": ...} for d'
 
 
 def test_load_template_version_is_content_hash(tmp_path):
@@ -387,11 +388,12 @@ class FirstDocsLast(ScriptedClient):
         self.second_done = threading.Event()
         self.unknown_done = threading.Event()
 
-    def complete(self, prompt):
+    def complete(self, *parts):
+        prompt = "".join(parts)
         if DOC.text in prompt or BROKEN_DOC.text in prompt:
             assert self.second_done.wait(5) and self.unknown_done.wait(5)
         try:
-            return super().complete(prompt)
+            return super().complete(*parts)
         finally:
             if INSTANCES in prompt and SECOND_DOC.text in prompt:
                 self.second_done.set()
@@ -431,3 +433,26 @@ def test_run_pipeline_truncates_long_documents():
     assert record.document == DOC.text
     # the truncated text, not the original, is what every prompt rendered
     assert all(len(call) < 3000 for call in client.calls)
+
+
+def test_a_document_is_escaped_once_for_all_its_prompts(monkeypatch):
+    """The request key reuses each prompt part's escape, and the document is
+    one part in all five prompts here (four stages and a structure repair)."""
+    text = "Paris is quoted by five prompts and escaped for their keys once."
+    escaped = []
+
+    def counting(part):
+        escaped.append(part)
+        return json.encoder.encode_basestring_ascii(part)
+
+    monkeypatch.setattr(llm, "encode_basestring_ascii", counting)
+    llm._escaped.cache_clear()
+    client = ScriptedClient().add((STRUCTURE, REPAIR),
+                                  '[{"label": "City", "attributes": {"name": "Paris"}}]')
+    client = paris_client(client.add(STRUCTURE, "not json"))
+    records, rejects, trail = collect(run_pipeline(
+        [Document("paris-01", text)], default_templates(), client, max_doc_chars=1000))
+    assert (len(records), rejects) == (1, [])
+    assert [t.stage for t in trail] == \
+        ["summarize", "structure", "structure", "guidelines", "instances"]
+    assert len([part for part in escaped if text in part]) == 1

@@ -34,16 +34,17 @@ def render(stage: str, templates, text: str, answers: dict[str, str]) -> str:
     """A stage's first prompt, from the document and earlier parsed answers."""
     tmpl = templates[stage]
     if stage == "summarize":
-        return tmpl.render(document=text)
+        return "".join(tmpl.render(document=text))
     summary = answers["summarize"].strip()
     if stage == "structure":
-        return tmpl.render(document=text, summary=summary)
+        return "".join(tmpl.render(document=text, summary=summary))
     structured_json = structured_to_json(_parse_structured(answers["structure"]))
     if stage == "guidelines":
-        return tmpl.render(document=text, summary=summary, structured_json=structured_json)
+        return "".join(tmpl.render(document=text, summary=summary,
+                                   structured_json=structured_json))
     schema = parse_guidelines(strip_fences(answers["guidelines"]))
-    return tmpl.render(document=text, structured_json=structured_json,
-                       guidelines=print_guidelines(schema))
+    return "".join(tmpl.render(document=text, structured_json=structured_json,
+                               guidelines=print_guidelines(schema)))
 
 
 def rebuild_prompts(lines: list[dict], texts: dict[str, str], templates) -> list[str]:
@@ -81,7 +82,7 @@ def test_golden_trail_rebuilds_every_prompt(tmp_path):
     prompts = rebuild_prompts(lines, texts, build_templates(cfg))
     assert len(prompts) == 20
     for line, prompt in zip(lines, prompts):
-        key = ChatRequest(prompt, params).request_key
+        key = ChatRequest((prompt,), params).request_key
         assert key == line["request_key"]
         assert key in cached
         assert len(prompt) == line["prompt_chars"]
@@ -120,7 +121,7 @@ def test_repairs_rebuild_exactly_the_prompts_sent():
     # two documents run at once, so the calls interleave across them
     assert sorted(prompts) == sorted(client.calls)
     for line, prompt in zip(lines, prompts):
-        assert line["request_key"] == ChatRequest(prompt, client.params).request_key
+        assert line["request_key"] == ChatRequest((prompt,), client.params).request_key
         assert line["prompt_chars"] == len(prompt)
 
 
