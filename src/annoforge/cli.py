@@ -86,11 +86,10 @@ def generate(opts: argparse.Namespace) -> int:
         done = resume_doc_ids(dataset_path, config_meta(templates, client, cfg.grounding))
         log.info("resuming: %d records already present", len(done))
     skip = set(done)
-    pending = sum(doc.doc_id not in skip for doc in docs)
-    step = -(-pending // 20)  # about 20 progress lines, whatever the corpus size
-    outcomes = run_pipeline(docs, templates, client, keep_empty=cfg.keep_empty,
-                            grounding=cfg.grounding, max_doc_chars=cfg.max_doc_chars,
-                            skip_ids=skip)
+    pending = [doc for doc in docs if doc.doc_id not in skip]
+    step = -(-len(pending) // 20)  # about 20 progress lines, whatever the corpus size
+    outcomes = run_pipeline(pending, templates, client, keep_empty=cfg.keep_empty,
+                            grounding=cfg.grounding, max_doc_chars=cfg.max_doc_chars)
     counts: Counter[str] = Counter()
     out.mkdir(parents=True, exist_ok=True)
     # a resume appends, keeping the audit of earlier runs; a document that runs
@@ -110,14 +109,14 @@ def generate(opts: argparse.Namespace) -> int:
                 # on disk before the record, so a killed run keeps each record's audit
                 trail.flush()
                 rejects.flush()
-                if n % step == 0 or n == pending:
+                if n % step == 0 or n == len(pending):
                     rate = n / max(time.monotonic() - start, 1e-9)
-                    log.info("progress: %d/%d documents, %.1f docs/s, ETA %s", n, pending,
-                             rate, timedelta(seconds=round((pending - n) / rate)))
+                    log.info("progress: %d/%d documents, %.1f docs/s, ETA %s", n, len(pending),
+                             rate, timedelta(seconds=round((len(pending) - n) / rate)))
                 if reject is None:
                     yield record
 
-        write_dataset(records(), dataset_path, append=bool(done), flush=True)
+        write_dataset(records(), dataset_path, append=bool(done))
 
     total = len(done) + counts["records"]
     print(f"generated {counts['records']} records "

@@ -6,8 +6,7 @@ here; the API key comes from the environment only.
 
 Layout::
 
-    corpus: docs.jsonl            # jsonl file or directory of .txt files
-    corpus_format: jsonl          # optional; inferred when omitted
+    corpus: docs.jsonl            # a directory means its .txt files, else JSONL
     sample: {n: 100, seed: 13}    # optional subsampling
     templates:                    # optional; packaged defaults otherwise
       summarize: prompts/summarize.txt
@@ -46,20 +45,32 @@ class ConfigError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class GenerationParams:
+    temperature: float = 0.7
+    top_p: float = 0.95
+    max_new_tokens: int = 1024
+    model_name: str = "default"
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be a finite number >= 0")
+        if not 0 < self.top_p <= 1:
+            raise ConfigError("top_p must be in (0, 1]")
+        if self.max_new_tokens < 1:
+            raise ConfigError("max_new_tokens must be positive")
+
+
 @dataclass
 class RunConfig:
     corpus_path: Path | None = None
-    corpus_format: str | None = None
     sample_n: int | None = None
     sample_seed: int = 0
     template_paths: dict[str, Path] = field(default_factory=dict)
     backend: str = "replay"
     base_url: str | None = None
     cache_path: Path | None = None
-    model_name: str = "default"
-    temperature: float = 0.7
-    top_p: float = 0.95
-    max_new_tokens: int = 1024
+    params: GenerationParams = field(default_factory=GenerationParams)
     parallelism: int = 1
     grounding: str = "normalized"
     keep_empty: bool = False
@@ -67,8 +78,7 @@ class RunConfig:
     output_dir: Path = Path("out")
 
 
-_TOP_KEYS = {"corpus", "corpus_format", "sample", "templates", "client",
-             "pipeline", "output_dir"}
+_TOP_KEYS = {"corpus", "sample", "templates", "client", "pipeline", "output_dir"}
 _CLIENT_KEYS = {"backend", "base_url", "cache", "model", "temperature",
                 "top_p", "max_new_tokens", "parallelism"}
 _PIPELINE_KEYS = {"grounding", "keep_empty", "max_doc_chars"}
@@ -144,9 +154,6 @@ def load_config(path: str | Path) -> RunConfig:
     cfg = RunConfig()
     if raw.get("corpus") is not None:
         cfg.corpus_path = resolve(raw["corpus"])
-    cfg.corpus_format = raw.get("corpus_format")
-    if cfg.corpus_format not in (None, "jsonl", "text-directory"):
-        raise ConfigError(f"unknown corpus_format {cfg.corpus_format!r}")
 
     sample = _section(raw, "sample", _SAMPLE_KEYS)
     if sample.get("n") is not None:
@@ -169,14 +176,18 @@ def load_config(path: str | Path) -> RunConfig:
         cfg.base_url = _string(client["base_url"], "client.base_url")
     if client.get("cache") is not None:
         cfg.cache_path = resolve(client["cache"])
-    cfg.model_name = _string(client.get("model", cfg.model_name), "client.model")
-    cfg.temperature = _convert(float, client.get("temperature", cfg.temperature),
-                               "client.temperature")
-    if not math.isfinite(cfg.temperature):  # NaN would pass every range check
-        raise ConfigError(f"client.temperature must be finite, got {cfg.temperature!r}")
-    cfg.top_p = _convert(float, client.get("top_p", cfg.top_p), "client.top_p")
-    cfg.max_new_tokens = _convert(int, client.get("max_new_tokens", cfg.max_new_tokens),
-                                  "client.max_new_tokens")
+    defaults = cfg.params
+    model_name = _string(client.get("model", defaults.model_name), "client.model")
+    temperature = _convert(float, client.get("temperature", defaults.temperature),
+                           "client.temperature")
+    if not math.isfinite(temperature):  # the range check's message would not name the key
+        raise ConfigError(f"client.temperature must be finite, got {temperature!r}")
+    cfg.params = GenerationParams(  # which checks the ranges
+        temperature=temperature,
+        top_p=_convert(float, client.get("top_p", defaults.top_p), "client.top_p"),
+        max_new_tokens=_convert(int, client.get("max_new_tokens", defaults.max_new_tokens),
+                                "client.max_new_tokens"),
+        model_name=model_name)
     cfg.parallelism = _convert(int, client.get("parallelism", cfg.parallelism),
                                "client.parallelism")
     if cfg.parallelism < 1:
@@ -209,12 +220,10 @@ def build_templates(cfg: RunConfig) -> dict[str, PromptTemplate]:
 
 
 def build_client(cfg: RunConfig) -> LLMClient:
-    from .llm import GenerationParams, LLMClient
+    from .llm import LLMClient
 
-    params = GenerationParams(temperature=cfg.temperature, top_p=cfg.top_p,
-                              max_new_tokens=cfg.max_new_tokens, model_name=cfg.model_name)
     return LLMClient(backend=cfg.backend, base_url=cfg.base_url, cache_path=cfg.cache_path,
-                     params=params, parallelism=cfg.parallelism)
+                     params=cfg.params, parallelism=cfg.parallelism)
 
 
 def load_docs(cfg: RunConfig, seed: int | None = None) -> list[Document]:
@@ -224,7 +233,7 @@ def load_docs(cfg: RunConfig, seed: int | None = None) -> list[Document]:
         raise ConfigError("config declares no corpus path")
     if not cfg.corpus_path.exists():
         raise ConfigError(f"corpus not found: {cfg.corpus_path}")
-    docs = load_corpus(cfg.corpus_path, cfg.corpus_format)
+    docs = load_corpus(cfg.corpus_path)
     if cfg.sample_n is not None:
         docs = sample_corpus(docs, cfg.sample_n,
                              cfg.sample_seed if seed is None else seed)

@@ -20,20 +20,13 @@ class Document:
     text: str
 
 
-def load_corpus(path: str | Path, format: str | None = None) -> list[Document]:
-    """Load documents from ``path`` in on-disk order.
-
-    ``format`` is ``"jsonl"`` or ``"text-directory"``; when omitted it is
-    inferred from whether the path is a directory.
-    """
+def load_corpus(path: str | Path) -> list[Document]:
+    """Load documents from ``path`` in on-disk order: a directory's ``.txt``
+    files, or else the lines of a JSONL file."""
     path = Path(path)
-    if format is None:
-        format = "text-directory" if path.is_dir() else "jsonl"
-    if format == "jsonl":
-        return _load_jsonl(path)
-    if format == "text-directory":
+    if path.is_dir():
         return _load_text_dir(path)  # file names, so its ids are unique
-    raise ValueError(f"unknown corpus format {format!r}")
+    return _load_jsonl(path)
 
 
 def _load_jsonl(path: Path) -> list[Document]:

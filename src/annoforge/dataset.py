@@ -4,9 +4,9 @@ A dataset is a JSONL file: a header line carrying the format version, then
 one record per line. Records hold every stage output for one document plus
 the validation verdicts, so a dataset is auditable and the training emitter
 can re-check instances before writing supervised examples. Lines are read
-and written through ``jsonl``. ``generate`` streams records into
-``write_dataset`` with ``flush=True``, so a kill leaves at most a last line
-without its newline, which ``jsonl.mend`` keeps or cuts before a resume.
+and written through ``jsonl``. ``write_dataset`` flushes each line, so a
+killed ``generate`` leaves at most a last line without its newline, which
+``jsonl.mend`` keeps or cuts before a resume.
 ``iter_dataset`` yields one record at a time and the analysis functions
 take any iterable, so a command holds one record, not the dataset. Each
 record's instance notation is parsed; its ``schema`` text only for callers
@@ -110,17 +110,16 @@ def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
 
 
 def write_dataset(records: Iterable[DatasetRecord], path: str | Path, *,
-                  append: bool = False, flush: bool = False) -> None:
-    """Write records one line each, after a header unless appending; with
-    ``flush``, each line is on disk before the next record is drawn."""
+                  append: bool = False) -> None:
+    """Write records one line each, after a header unless appending; each
+    line is flushed before the next record is drawn."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = [] if append else [{"format": FORMAT_NAME, "version": FORMAT_VERSION}]
     with open(path, "a" if append else "w", encoding="utf-8") as fh:
         for data in chain(header, map(record_to_dict, records)):
             fh.write(jsonl.dumps(data))
-            if flush:
-                fh.flush()
+            fh.flush()
 
 
 def iter_dataset(path: str | Path, *, schema: bool = True) -> Iterator[DatasetRecord]:
@@ -135,9 +134,9 @@ def iter_dataset(path: str | Path, *, schema: bool = True) -> Iterator[DatasetRe
             _records(path, lambda data: record_from_dict(data, schema=schema)))
 
 
-def read_dataset(path: str | Path, *, schema: bool = True) -> list[DatasetRecord]:
+def read_dataset(path: str | Path) -> list[DatasetRecord]:
     """Every record of ``iter_dataset`` in one list."""
-    return list(iter_dataset(path, schema=schema))
+    return list(iter_dataset(path))
 
 
 def resume_doc_ids(path: str | Path, meta: dict) -> list[str]:

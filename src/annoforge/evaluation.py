@@ -243,13 +243,12 @@ def load_predictions(path: str | Path, schema: Schema | None = None) -> Iterator
     return (pred for _, pred in jsonl.read(path, "corrupt prediction", prediction))
 
 
-def format_table(rows: list[tuple[str, EvalResult]], macro: float | None = None) -> str:
+def format_table(rows: list[tuple[str, EvalResult]], macro: float) -> str:
     """Plain-text results table; scores shown as percentages."""
     width = max([len(name) for name, _ in rows] + [len("macro avg")])
     lines = [f"{'':{width}}  {'P':>7} {'R':>7} {'F1':>7}"]
     for name, r in rows:
         lines.append(f"{name:{width}}  {100 * r.precision:7.2f} "
                      f"{100 * r.recall:7.2f} {100 * r.f1:7.2f}")
-    if macro is not None:
-        lines.append(f"{'macro avg':{width}}  {'':7} {'':7} {100 * macro:7.2f}")
+    lines.append(f"{'macro avg':{width}}  {'':7} {'':7} {100 * macro:7.2f}")
     return "\n".join(lines)

@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
 import threading
 import time
@@ -51,7 +50,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from . import __version__, jsonl
-from .config import ConfigError
+from .config import ConfigError, GenerationParams
 
 BACKENDS = ("http", "replay", "record")
 API_KEY_VARS = ("ANNOFORGE_API_KEY", "OPENAI_API_KEY")
@@ -76,22 +75,6 @@ class ReplayCacheMissError(LLMError):
     def __init__(self, request_key: str) -> None:
         self.request_key = request_key
         super().__init__(f"no cached response for request_key {request_key}")
-
-
-@dataclass(frozen=True)
-class GenerationParams:
-    temperature: float = 0.7
-    top_p: float = 0.95
-    max_new_tokens: int = 1024
-    model_name: str = "default"
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.temperature < math.inf:
-            raise ConfigError("temperature must be a finite number >= 0")
-        if not 0 < self.top_p <= 1:
-            raise ConfigError("top_p must be in (0, 1]")
-        if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be positive")
 
 
 @functools.lru_cache(maxsize=ESCAPE_MEMO_SIZE)
@@ -152,6 +135,12 @@ class ReplayCache:
                                  jsonl.read(self.path, "corrupt cache entry", _cache_entry))
         elif must_exist:
             raise FileNotFoundError(f"replay cache not found: {self.path}")
+        else:  # here, so a path under a file fails before any request is paid for
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cache directory cannot be made for {self.path}: "
+                                  f"{exc}") from None
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
@@ -167,7 +156,6 @@ class ReplayCache:
                            "finish_reason": finish_reason}, ensure_ascii=False)
         with self._lock:
             self._entries[key] = (text, finish_reason)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as fh:
                 fh.write((line + "\n").encode("utf-8"))
 

@@ -295,18 +295,17 @@ def config_meta(templates: dict[str, PromptTemplate], client: LLMClient,
 
 def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
                  client: LLMClient, *, keep_empty: bool = False,
-                 grounding: str = "normalized", max_doc_chars: int | None = None,
-                 skip_ids: frozenset[str] | set[str] = frozenset()) -> Iterator[Outcome]:
+                 grounding: str = "normalized",
+                 max_doc_chars: int | None = None) -> Iterator[Outcome]:
     """Run all four stages per document; failures reject, never abort.
 
     Yields an ``Outcome`` per document, in input order; closing the generator
-    cancels the documents not yet started. ``skip_ids`` supports resuming:
-    documents already present in an output dataset are not reprocessed.
+    cancels the documents not yet started. A resume passes only the documents
+    its output dataset does not hold yet.
     """
     for stage in STAGES:
         if stage not in templates:
             raise ValueError(f"missing template for stage {stage!r}")
-    pending = [doc for doc in docs if doc.doc_id not in skip_ids]
 
     def process(doc: Document):
         trail: list[StageRecord] = []
@@ -362,4 +361,4 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
 
     with ThreadPoolExecutor(max_workers=DOC_WORKERS_PER_SLOT * client.parallelism) as pool:
         # closing pool.map's iterator cancels its pending futures
-        yield from pool.map(process, pending)
+        yield from pool.map(process, docs)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from annoforge.config import build_client, build_templates, load_config
 from annoforge.dataset import emit_training_examples, write_dataset
-from annoforge.llm import ChatRequest, ChatResponse, GenerationParams
+from annoforge.llm import ChatRequest, ChatResponse, GenerationParams, ReplayCache
 from annoforge.corpus import Document
 from annoforge.pipeline import run_pipeline
 
@@ -247,7 +247,6 @@ class Course:
 
 CONFIG_YAML = """\
 corpus: docs.jsonl
-corpus_format: jsonl
 client:
   backend: replay
   cache: cache.jsonl
@@ -275,7 +274,7 @@ class RecordingClient:
 
     def __init__(self, cache_path: Path):
         self.params = GenerationParams(model_name="fixture")
-        self.cache_path = cache_path
+        self.cache = ReplayCache(cache_path)
         self.calls = 0
 
     def complete(self, *parts):
@@ -284,11 +283,7 @@ class RecordingClient:
         doc = next(d for d in DOCS if d.text[:60] in prompt)
         text = RESPONSES[(doc.doc_id, stage)]
         key = ChatRequest(parts, self.params).request_key
-        with open(self.cache_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"request_key": key,
-                                 "response_text": text,
-                                 "finish_reason": "stop"},
-                                ensure_ascii=False) + "\n")
+        self.cache.put(key, text, "stop")
         self.calls += 1
         return ChatResponse(text=text, finish_reason="stop", request_key=key)
 

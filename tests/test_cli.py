@@ -282,7 +282,7 @@ def test_failed_write_stops_generate_early(runner, tmp_path, monkeypatch):
     client = paris_client(SlowAfterFirst())
     monkeypatch.setattr("annoforge.cli.build_client", lambda cfg: client)
 
-    def full_disk(records, path, *, append=False, flush=False):
+    def full_disk(records, path, *, append=False):
         next(iter(records))
         raise OSError("No space left on device")
 
@@ -1066,6 +1066,9 @@ GENERATE = ["--config", "{tmp}/cfg.yaml", "--output-dir", "{tmp}/out", "generate
 REPLAY = f"backend: replay, cache: {DATA / 'cache.jsonl'}, model: fixture"
 CORPUS_CONFIG = "corpus: {input}\nclient: {" + REPLAY + "}\n"
 CACHE_CONFIG = f"corpus: {DATA / 'docs.jsonl'}\n" "client: {backend: replay, cache: {input}}\n"
+# nothing listens there, so a request would fail after the retry waits
+RECORD_CONFIG = (f"corpus: {DATA / 'docs.jsonl'}\n"
+                 "client: {backend: record, base_url: 'http://127.0.0.1:1', cache: {input}}\n")
 
 # (row id, command line, config file or None, fault, exit code, text stderr holds);
 # "{input}" is the faulty path and "{tmp}" the test's directory. The exit code
@@ -1116,6 +1119,8 @@ INPUT_FAULTS = [
      "error: cache is a directory, not a file: {input}"),
     ("generate-cache-under-a-file", GENERATE, CACHE_CONFIG, "under-a-file", 2,
      "error: replay cache not found: {input}"),
+    ("generate-record-cache-under-a-file", GENERATE, RECORD_CONFIG, "under-a-file", 2,
+     "error: cache directory cannot be made for {input}"),
     ("generate-config-not-mapping", ["--config", "{input}", "generate"], None, "not-json",
      2, "error: {input}: expected a mapping at top level"),
     ("generate-config-directory", ["--config", "{input}", "generate"], None, "directory",

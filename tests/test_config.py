@@ -1,12 +1,16 @@
 """Tests for YAML run configuration loading and object construction."""
 
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
+from annoforge import config
 from annoforge.config import (
     ConfigError,
+    GenerationParams,
     RunConfig,
     build_client,
     build_templates,
@@ -26,10 +30,9 @@ def test_defaults_from_empty_file(tmp_path):
     cfg = load_config(write_cfg(tmp_path, ""))
     assert cfg.corpus_path is None
     assert cfg.backend == "replay"
-    assert cfg.model_name == "default"
-    assert cfg.temperature == 0.7
-    assert cfg.top_p == 0.95
-    assert cfg.max_new_tokens == 1024
+    assert cfg.params == GenerationParams()
+    assert (cfg.params.model_name, cfg.params.temperature, cfg.params.top_p,
+            cfg.params.max_new_tokens) == ("default", 0.7, 0.95, 1024)
     assert cfg.parallelism == 1
     assert cfg.grounding == "normalized"
     assert cfg.keep_empty is False
@@ -44,7 +47,6 @@ def test_full_config_round_trip(tmp_path):
     (prompts / "summarize.txt").write_text("Short summary of {document}.")
     cfg = load_config(write_cfg(tmp_path, """\
 corpus: docs.jsonl
-corpus_format: jsonl
 sample: {n: 1, seed: 7}
 templates:
   summarize: prompts/summarize.txt
@@ -64,14 +66,13 @@ pipeline:
 output_dir: results
 """))
     assert cfg.corpus_path == tmp_path / "docs.jsonl"
-    assert cfg.corpus_format == "jsonl"
     assert cfg.sample_n == 1 and cfg.sample_seed == 7
     assert cfg.template_paths == {"summarize": prompts / "summarize.txt"}
     assert cfg.backend == "record"
     assert cfg.base_url == "http://localhost:9"
     assert cfg.cache_path == tmp_path / "cache.jsonl"
-    assert cfg.model_name == "m1"
-    assert (cfg.temperature, cfg.top_p, cfg.max_new_tokens) == (0.2, 0.5, 64)
+    assert cfg.params == GenerationParams(temperature=0.2, top_p=0.5, max_new_tokens=64,
+                                          model_name="m1")
     assert cfg.parallelism == 4
     assert cfg.grounding == "exact"
     assert cfg.keep_empty is True
@@ -113,6 +114,9 @@ def test_non_mapping_top_level_rejected(tmp_path):
 def test_unknown_top_level_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown config keys.*corpsu"):
         load_config(write_cfg(tmp_path, "corpsu: docs.jsonl\n"))
+    # the corpus path decides its format, so no key names it
+    with pytest.raises(ConfigError, match=re.escape("unknown config keys: ['corpus_format']")):
+        load_config(write_cfg(tmp_path, "corpus_format: jsonl\n"))
 
 
 def test_unknown_client_key_rejected(tmp_path):
@@ -137,10 +141,12 @@ def test_credentials_rejected_at_top_level_too(tmp_path):
     ("client: {parallelism: 0}", "parallelism must be >= 1"),
     ("sample: {n: 0}", "sample n must be >= 1"),
     ("pipeline: {max_doc_chars: 0}", "max_doc_chars must be >= 1"),
-    ("corpus_format: parquet", "unknown corpus_format"),
+    ("client: {temperature: -0.5}", "temperature must be a finite number >= 0"),
+    ("client: {top_p: 2}", "top_p must be in (0, 1]"),
+    ("client: {max_new_tokens: 0}", "max_new_tokens must be positive"),
 ])
 def test_invalid_values_rejected(tmp_path, snippet, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(write_cfg(tmp_path, snippet + "\n"))
 
 
@@ -264,3 +270,29 @@ def test_run_config_is_plain_data():
     cfg = RunConfig()
     cfg.output_dir = Path("elsewhere")
     assert cfg.output_dir == Path("elsewhere")
+
+
+def documented_keys(layout: str) -> set[str]:
+    """The config keys a YAML layout names, a section's as ``section.key``;
+    a ``templates`` entry counts as ``templates`` when it names a stage."""
+    keys = set()
+    for key, value in yaml.safe_load(layout).items():
+        if key == "templates":
+            assert set(value) <= set(STAGES), value
+        if isinstance(value, dict) and key != "templates":
+            keys.update(f"{key}.{sub}" for sub in value)
+        else:
+            keys.add(key)
+    return keys
+
+
+def test_docs_name_exactly_the_keys_load_config_accepts():
+    sections = {"client": config._CLIENT_KEYS, "pipeline": config._PIPELINE_KEYS,
+                "sample": config._SAMPLE_KEYS}
+    accepted = ({key for key in config._TOP_KEYS if key not in sections}
+                | {f"{name}.{key}" for name, keys in sections.items() for key in keys})
+    docstring = textwrap.dedent(config.__doc__.split("Layout::\n", 1)[1])
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme_block = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1]
+    assert documented_keys(docstring) == accepted
+    assert documented_keys(readme_block.split("```", 1)[0]) == accepted

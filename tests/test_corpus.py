@@ -25,7 +25,7 @@ def test_load_jsonl_in_file_order(tmp_path):
         {"id": "a", "text": "first doc"},
         {"id": "c", "text": "third doc", "extra": 42},
     ])
-    docs = load_corpus(path, format="jsonl")
+    docs = load_corpus(path)
     assert [d.doc_id for d in docs] == ["b", "a", "c"]
     assert docs[1].text == "first doc"
 
@@ -68,7 +68,7 @@ def test_load_text_directory(tmp_path):
     for name in ["c.txt", "a.txt", "e.txt", "b.txt", "d.txt"]:
         (tmp_path / name).write_text(f"contents of {name}")
     (tmp_path / "notes.md").write_text("ignored")
-    docs = load_corpus(tmp_path, format="text-directory")
+    docs = load_corpus(tmp_path)
     assert [d.doc_id for d in docs] == ["a", "b", "c", "d", "e"]
     assert docs[0].text == "contents of a.txt"
 
@@ -85,8 +85,9 @@ def test_format_inference(tmp_path):
     path = tmp_path / "docs.jsonl"
     write_jsonl(path, [{"id": "x", "text": "hi"}])
     assert load_corpus(path)[0].doc_id == "x"
-    with pytest.raises(ValueError, match="unknown corpus format"):
-        load_corpus(path, format="csv")
+    named_as_text = tmp_path / "more.txt"  # not a directory, so JSONL, whatever its name
+    write_jsonl(named_as_text, [{"id": "y", "text": "hey"}])
+    assert load_corpus(named_as_text)[0].doc_id == "y"
 
 
 def make_docs(n):

@@ -338,14 +338,6 @@ def test_run_pipeline_client_error_rejects_doc():
     assert "no scripted response" in rejects[0].reason
 
 
-def test_run_pipeline_skip_ids_for_resume():
-    client = scripted_two_docs()
-    records, _, _ = collect(run_pipeline([DOC, SECOND_DOC], default_templates(),
-                                         client, skip_ids={"ml-01"}))
-    assert [r.doc_id for r in records] == ["city-01"]
-    assert all("TensorFlow was developed" not in call for call in client.calls)
-
-
 def test_run_pipeline_empty_corpus():
     assert list(run_pipeline([], default_templates(), scripted_for())) == []
 
