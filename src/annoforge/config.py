@@ -167,6 +167,8 @@ def load_config(path: str | Path) -> RunConfig:
     for stage, p in cfg.template_paths.items():
         if not p.exists():
             raise ConfigError(f"template for stage {stage!r} not found: {p}")
+        if p.is_dir():
+            raise ConfigError(f"template for stage {stage!r} is a directory, not a file: {p}")
 
     client = _section(raw, "client", _CLIENT_KEYS)
     cfg.backend = client.get("backend", cfg.backend)

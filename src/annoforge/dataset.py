@@ -13,9 +13,10 @@ record's instance notation is parsed; its ``schema`` text only for callers
 that read it (with ``schema=False``, ``DatasetRecord.schema`` is ``None``).
 
 A record read from a file keeps its ``schema`` and ``instances`` text, and is
-written with that text while it holds the objects parsed from it. A new
-object (``validate`` dropped an instance), a record built in memory, or an
-instance list with prose around it is printed instead.
+written with that text while it holds the objects parsed from it; a
+``generate`` record carries the ``schema`` text its instances prompt quoted.
+A new object (``validate`` dropped an instance), any other record built in
+memory, or an instance list with prose around it is printed instead.
 
 Label statistics use exact rational arithmetic internally and round only
 when formatted. Overlap analysis compares dataset labels against benchmark
@@ -63,11 +64,11 @@ class DatasetRecord:
     instances: InstanceSet  # survivors of validation filtering
     validation: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    # (parsed object, the text it was read from), for each one read from a file
+    # (parsed object, its text), for each one read from a file or printed already
     source: list = field(default_factory=list, compare=False, repr=False)
 
     def text_of(self, parsed: Schema | InstanceSet, printer) -> str:
-        """The text ``parsed`` was read from, if this record read it; else printed."""
+        """The text ``source`` holds for ``parsed``; else ``parsed`` printed."""
         for held, text in self.source:
             if held is parsed:
                 return text

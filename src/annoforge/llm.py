@@ -16,7 +16,7 @@ a cache write.
 
 Three backends share one interface:
 
-* ``http``   -- POST to a chat-completions endpoint, nothing persisted
+* ``http``   -- POST to a chat-completions endpoint; the cache is never opened
 * ``record`` -- like http, but every (request_key, response) pair is written
   to a JSONL cache; cached keys are served without touching the network
 * ``replay`` -- serve exclusively from the cache; a miss is an error and no
@@ -190,8 +190,8 @@ class LLMClient:
         self.params = params or GenerationParams()
         self.parallelism = parallelism
         self._slots = threading.BoundedSemaphore(parallelism)
-        self.cache = (ReplayCache(cache_path, must_exist=backend == "replay")
-                      if cache_path else None)
+        self.cache = (None if backend == "http" else
+                      ReplayCache(cache_path, must_exist=backend == "replay"))
 
     def complete(self, *parts: str) -> ChatResponse:
         """Ask the prompt ``parts`` join to; raises LLMError when no response

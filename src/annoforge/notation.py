@@ -38,6 +38,9 @@ per keyword argument. Input that ends where a call, a keyword or a value
 should start, as a truncated model output does (``[A(x="1", ``, ``[A(``,
 ``[A(x=``, ``[A(x=[``), raises "unterminated instance list" located at the
 end of the input.
+
+The guideline printer parses its text back, so the parser alone decides what
+prints; the instance printer keeps its own checks (see ``print_instances``).
 """
 
 from __future__ import annotations
@@ -251,8 +254,10 @@ def _parse_type(expr: str, lineno: int, col: int) -> tuple[str, bool]:
 
 
 def print_guidelines(schema: Schema) -> str:
-    """Render a Schema in canonical form; parse_guidelines round-trips it."""
-    _check_schema(schema)
+    """Render a Schema in canonical form; parse_guidelines decides what prints.
+
+    A schema whose text does not parse back to it raises ValueError.
+    """
     blocks = []
     for cls in schema.classes:
         lines = ["@dataclass", f"class {cls.name}:", f'    """{cls.guideline}"""']
@@ -262,36 +267,10 @@ def print_guidelines(schema: Schema) -> str:
                 t = f"Optional[{t}]"
             lines.append(f"    {f.name}: {t}  # {f.comment}")
         blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
-
-
-def _check_schema(schema: Schema) -> None:
-    if not schema.classes:
-        raise ValueError("schema has no classes")
-    names = set()
-    for cls in schema.classes:
-        if not _NAME_RE.fullmatch(cls.name):
-            raise ValueError(f"invalid class name {cls.name!r}")
-        if cls.name in names:
-            raise ValueError(f"duplicate class name {cls.name!r}")
-        names.add(cls.name)
-        if not cls.guideline.strip():
-            raise ValueError(f"class {cls.name!r} has an empty guideline")
-        if '"""' in cls.guideline or cls.guideline.endswith('"'):
-            raise ValueError(f"guideline of {cls.name!r} cannot be quoted verbatim")
-        if not cls.fields:
-            raise ValueError(f"class {cls.name!r} has no fields")
-        fnames = set()
-        for f in cls.fields:
-            if not _NAME_RE.fullmatch(f.name):
-                raise ValueError(f"invalid field name {f.name!r}")
-            if f.name in fnames:
-                raise ValueError(f"duplicate field name {f.name!r} in {cls.name!r}")
-            fnames.add(f.name)
-            if f.kind not in (TEXT, TEXT_LIST):
-                raise ValueError(f"unknown field kind {f.kind!r}")
-            if not f.comment or f.comment != f.comment.strip() or "\n" in f.comment:
-                raise ValueError(f"field {cls.name}.{f.name} needs a one-line comment")
+    text = "\n\n".join(blocks) + "\n"
+    if parse_guidelines(text) != schema:
+        raise ValueError("schema does not read back as itself from its printed form")
+    return text
 
 
 def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
@@ -410,7 +389,11 @@ def _unescape(body: str) -> str:
 
 
 def print_instances(instance_set: InstanceSet) -> str:
-    """Render an InstanceSet in canonical form; parse_instances round-trips it."""
+    """Render an InstanceSet in canonical form; parse_instances round-trips it.
+
+    It checks names and values itself: parsing its text back, as
+    ``print_guidelines`` does, would add about 0.3 ms per generated record.
+    """
     parts = []
     for inst in instance_set.instances:
         if not _NAME_RE.fullmatch(inst.class_name):

@@ -110,8 +110,11 @@ class PromptTemplate:
 
 
 def load_template(path: str | Path, stage: str) -> PromptTemplate:
-    return PromptTemplate(stage=stage,
-                          template_text=Path(path).read_text(encoding="utf-8"))
+    try:
+        return PromptTemplate(stage=stage,
+                              template_text=Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def default_templates() -> dict[str, PromptTemplate]:
@@ -264,11 +267,11 @@ def stage_guidelines(doc: Document, summary: str, structured_json: str,
     return _ask(client, tmpl, prompt, parse, doc.doc_id, trail)
 
 
-def stage_instances(doc: Document, structured_json: str, schema: Schema,
+def stage_instances(doc: Document, structured_json: str, guidelines: str,
                     tmpl: PromptTemplate, client: LLMClient,
                     trail: list[StageRecord]) -> InstanceSet:
     prompt = tmpl.render(document=doc.text, structured_json=structured_json,
-                         guidelines=print_guidelines(schema))
+                         guidelines=guidelines)
     return _ask(client, tmpl, prompt,
                 lambda text: parse_instances(text, doc_id=doc.doc_id), doc.doc_id, trail)
 
@@ -319,7 +322,9 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
             structured_json = structured_to_json(structured)
             guidelines_text, schema = stage_guidelines(
                 doc, summary, structured_json, templates["guidelines"], client, trail)
-            raw_instances = stage_instances(doc, structured_json, schema,
+            # printed once: the instances prompt quotes it and the record stores it
+            schema_text = print_guidelines(schema)
+            raw_instances = stage_instances(doc, structured_json, schema_text,
                                             templates["instances"], client, trail)
         except StageError as exc:
             return None, RejectEntry(doc_id=doc.doc_id, stage=exc.stage,
@@ -340,6 +345,7 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
             guidelines_text=guidelines_text,
             schema=schema,
             instances=kept,
+            source=[(schema, schema_text)],
             validation={
                 "grounding": grounding,
                 "raw_count": len(raw_instances.instances),

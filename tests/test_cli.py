@@ -1041,6 +1041,9 @@ def faulty_input(tmp_path: Path, fault: str) -> Path:
         return tmp_path / "file" / "input.jsonl"
     if fault == "corrupt-record":
         return corrupted_dataset(tmp_path, "instances")
+    if fault == "not-utf8":
+        path.write_bytes(b"\xff{document}\n")
+        return path
     if fault in ("directory", "dir-of-empty-file"):
         path.mkdir()
         if fault == "dir-of-empty-file":
@@ -1069,6 +1072,8 @@ CACHE_CONFIG = f"corpus: {DATA / 'docs.jsonl'}\n" "client: {backend: replay, cac
 # nothing listens there, so a request would fail after the retry waits
 RECORD_CONFIG = (f"corpus: {DATA / 'docs.jsonl'}\n"
                  "client: {backend: record, base_url: 'http://127.0.0.1:1', cache: {input}}\n")
+TEMPLATE_CONFIG = (f"corpus: {DATA / 'docs.jsonl'}\n" "client: {" + REPLAY + "}\n"
+                   "templates: {summarize: {input}}\n")
 
 # (row id, command line, config file or None, fault, exit code, text stderr holds);
 # "{input}" is the faulty path and "{tmp}" the test's directory. The exit code
@@ -1121,6 +1126,12 @@ INPUT_FAULTS = [
      "error: replay cache not found: {input}"),
     ("generate-record-cache-under-a-file", GENERATE, RECORD_CONFIG, "under-a-file", 2,
      "error: cache directory cannot be made for {input}"),
+    ("generate-template-directory", GENERATE, TEMPLATE_CONFIG, "directory", 2,
+     "error: template for stage 'summarize' is a directory, not a file: {input}"),
+    ("generate-template-not-utf8", GENERATE, TEMPLATE_CONFIG, "not-utf8", 3,
+     "{input}: 'utf-8' codec can't decode byte 0xff"),
+    ("generate-template-no-document", GENERATE, TEMPLATE_CONFIG, "not-json", 3,
+     "{input}: summarize template must use {document} exactly once, found 0"),
     ("generate-config-not-mapping", ["--config", "{input}", "generate"], None, "not-json",
      2, "error: {input}: expected a mapping at top level"),
     ("generate-config-directory", ["--config", "{input}", "generate"], None, "directory",

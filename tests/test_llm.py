@@ -150,6 +150,17 @@ def test_replay_cache_must_exist(tmp_path):
         ReplayCache(tmp_path / "missing.jsonl", must_exist=True)
 
 
+def test_http_backend_never_opens_its_cache(tmp_path):
+    corrupt = tmp_path / "bad.jsonl"
+    corrupt.write_bytes(b"not json")
+    for cache_path in (corrupt, tmp_path / "missing" / "cache.jsonl"):
+        client = LLMClient(backend="http", base_url="http://127.0.0.1:1",
+                           cache_path=cache_path)
+        assert client.cache is None
+    assert corrupt.read_bytes() == b"not json"  # not mended
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
 def test_client_config_validation(tmp_path):
     with pytest.raises(ValueError, match="unknown backend"):
         LLMClient(backend="grpc")

@@ -277,13 +277,39 @@ def test_print_rejects_unprintable_values():
             EntityInstance(class_name="A", assignments={"x": 5})]))
 
 
-def test_print_rejects_unquotable_guideline():
-    schema = Schema(classes=[EntityClass(
-        name="A", guideline='ends with a quote"',
-        fields=[FieldDef(name="x", kind=TEXT, comment="c")])])
-    with pytest.raises(ValueError):
-        print_guidelines(schema)
-    schema.classes[0].guideline = 'has """ inside'
+def printable_schema() -> Schema:
+    return Schema(classes=[EntityClass(name="A", guideline="An a.", fields=[
+        FieldDef(name="x", kind=TEXT, comment="the x")])])
+
+
+# one row per way a schema can fail to print as notation that reads back as itself
+UNPRINTABLE = {
+    "no-classes": lambda s: s.classes.clear(),
+    "class-name-not-identifier": lambda s: setattr(s.classes[0], "name", "1A"),
+    "duplicate-class": lambda s: s.classes.append(EntityClass(
+        name="A", guideline="Another a.", fields=[FieldDef(name="y", kind=TEXT,
+                                                           comment="the y")])),
+    "blank-guideline": lambda s: setattr(s.classes[0], "guideline", " \n "),
+    "guideline-with-triple-quote": lambda s: setattr(s.classes[0], "guideline",
+                                                     'has """ inside'),
+    "guideline-ending-in-quote": lambda s: setattr(s.classes[0], "guideline",
+                                                   'ends with a quote"'),
+    "no-fields": lambda s: s.classes[0].fields.clear(),
+    "field-name-not-identifier": lambda s: setattr(s.classes[0].fields[0], "name", "x y"),
+    "duplicate-field": lambda s: s.classes[0].fields.append(
+        FieldDef(name="x", kind=TEXT_LIST, comment="more x")),
+    "unknown-kind": lambda s: setattr(s.classes[0].fields[0], "kind", "number"),
+    "empty-comment": lambda s: setattr(s.classes[0].fields[0], "comment", ""),
+    "padded-comment": lambda s: setattr(s.classes[0].fields[0], "comment", " the x "),
+    "multi-line-comment": lambda s: setattr(s.classes[0].fields[0], "comment", "the\nx"),
+}
+
+
+@pytest.mark.parametrize("spoil", UNPRINTABLE.values(), ids=UNPRINTABLE)
+def test_print_rejects_a_schema_that_would_not_read_back(spoil):
+    schema = printable_schema()
+    print_guidelines(schema)
+    spoil(schema)
     with pytest.raises(ValueError):
         print_guidelines(schema)
 

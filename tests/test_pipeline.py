@@ -5,9 +5,11 @@ import threading
 
 import pytest
 
+import annoforge.dataset
+import annoforge.pipeline
 from annoforge import llm
 from annoforge.corpus import Document
-from annoforge.dataset import record_to_dict
+from annoforge.dataset import record_to_dict, write_dataset
 from annoforge.notation import print_guidelines
 from annoforge.pipeline import (
     PromptTemplate,
@@ -23,7 +25,7 @@ from annoforge.pipeline import (
     structured_to_json,
     truncate_document,
 )
-from builders import collect, paris_client
+from builders import collect, make_records, paris_client
 from scripted import GUIDELINES, INSTANCES, REPAIR, STRUCTURE, SUMMARIZE, ScriptedClient
 
 DOC = Document(doc_id="ml-01",
@@ -220,28 +222,33 @@ def _structured_json(client):
 
 def test_stage_instances_prompt_uses_canonical_guidelines():
     client = scripted_for()
-    structured_json = structured_to_json(stage_structure(
-        DOC, SUMMARY_TEXT, default_templates()["structure"], client, []))
-    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured_json,
-                                 default_templates()["guidelines"], client, [])
-    trail = []
-    iset = stage_instances(DOC, structured_json, schema, default_templates()["instances"],
-                           client, trail)
-    assert iset.doc_id == "ml-01"
-    assert len(iset.instances) == 2
-    assert print_guidelines(schema) in client.calls[2]  # after structure, guidelines
+    [(record, _, _)] = run_pipeline([DOC], default_templates(), client)
+    assert len(record.instances.instances) == 2
+    [instances_prompt] = [call for call in client.calls if INSTANCES in call]
+    assert print_guidelines(record.schema) in instances_prompt
 
 
 def test_stage_instances_empty_list_is_valid():
     client = ScriptedClient().add(INSTANCES, "No entities apply here: []")
-    schema_client = scripted_for()
-    structured_json = structured_to_json(stage_structure(
-        DOC, SUMMARY_TEXT, default_templates()["structure"], schema_client, []))
-    _, schema = stage_guidelines(DOC, SUMMARY_TEXT, structured_json,
-                                 default_templates()["guidelines"], schema_client, [])
-    iset = stage_instances(DOC, structured_json, schema, default_templates()["instances"],
-                           client, [])
+    iset = stage_instances(DOC, "[]", '@dataclass\nclass A:\n    """D."""\n    x: str  # c\n',
+                           default_templates()["instances"], client, [])
     assert iset.instances == []
+
+
+def test_each_generated_record_prints_its_schema_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (annoforge.pipeline, annoforge.dataset):
+        printer = module.print_guidelines
+
+        def counting(schema, printer=printer):
+            calls.append(schema)
+            return printer(schema)
+
+        monkeypatch.setattr(module, "print_guidelines", counting)
+    records = make_records()
+    write_dataset(records, tmp_path / "dataset.jsonl")
+    assert len(records) == 2
+    assert len(calls) == 2
 
 
 def test_truncate_document():
