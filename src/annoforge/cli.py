@@ -78,15 +78,14 @@ def generate(opts: argparse.Namespace) -> int:
     dataset_path = out / "dataset.jsonl"
 
     resume = opts.resume
-    done = []
+    done = set()
     for path in (dataset_path, out / "trail.jsonl", out / "rejects.jsonl"):
         if resume and path.exists():  # a kill leaves at most an unterminated last line
             jsonl.mend(path)
     if resume and dataset_path.exists():
         done = resume_doc_ids(dataset_path, config_meta(templates, client, cfg.grounding))
         log.info("resuming: %d records already present", len(done))
-    skip = set(done)
-    pending = [doc for doc in docs if doc.doc_id not in skip]
+    pending = [doc for doc in docs if doc.doc_id not in done]
     step = -(-len(pending) // 20)  # about 20 progress lines, whatever the corpus size
     outcomes = run_pipeline(pending, templates, client, keep_empty=cfg.keep_empty,
                             grounding=cfg.grounding, max_doc_chars=cfg.max_doc_chars)

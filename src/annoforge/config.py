@@ -18,7 +18,7 @@ Layout::
       temperature: 0.7
       top_p: 0.95
       max_new_tokens: 1024
-      parallelism: 1              # requests in flight to the endpoint
+      parallelism: 1              # requests in flight to the endpoint; replay sends none
     pipeline:
       grounding: normalized       # exact | normalized | off
       keep_empty: false

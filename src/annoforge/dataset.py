@@ -140,18 +140,19 @@ def read_dataset(path: str | Path) -> list[DatasetRecord]:
     return list(iter_dataset(path))
 
 
-def resume_doc_ids(path: str | Path, meta: dict) -> list[str]:
-    """The ``doc_id`` of each record, for ``generate --resume`` (which mends the file first).
+def resume_doc_ids(path: str | Path, meta: dict) -> set[str]:
+    """The set of record ``doc_id`` values, for ``generate --resume`` (which mends the file first).
 
     Only the JSON is decoded, never the notation. Each record's ``meta`` must
     hold every value of ``meta``, the resuming run's templates, model and
     grounding policy nested as a record holds them: a record made otherwise raises
     ``ConfigError`` naming the file and line, the differing key and both
-    values. An empty file, left by a kill before the header, holds no records.
+    values. A ``doc_id`` held twice raises ``ValueError`` naming both lines.
+    An empty file, left by a kill before the header, holds no records.
     """
     if Path(path).stat().st_size == 0:
-        return []
-    doc_ids = []
+        return set()
+    doc_ids: set[str] = set()
     records = _records(path, lambda data: (data["doc_id"], data.get("meta")))
     for lineno, (doc_id, record_meta) in records:
         differs = _first_difference(record_meta, meta, "meta")
@@ -159,7 +160,12 @@ def resume_doc_ids(path: str | Path, meta: dict) -> list[str]:
             key, found, wanted = differs
             raise ConfigError(f"{path}:{lineno}: cannot resume: {key} is {found!r} "
                               f"in the dataset but {wanted!r} in this run")
-        doc_ids.append(doc_id)
+        if doc_id in doc_ids:  # found again to name its first line; only ids are kept
+            first = next(n for n, other in _records(path, lambda data: data["doc_id"])
+                         if other == doc_id)
+            raise ValueError(f"{path}:{lineno}: cannot resume: doc_id {doc_id!r} "
+                             f"is already at line {first}")
+        doc_ids.add(doc_id)
     return doc_ids
 
 

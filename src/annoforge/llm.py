@@ -60,10 +60,11 @@ TIMEOUT = 120.0  # seconds per HTTP attempt, and the cap on a Retry-After wait
 MAX_ATTEMPTS = 3
 BACKOFF_BASE = 1.0  # seconds before the second attempt, doubled before each later one
 # Prompt parts whose escapes are kept. It must hold the parts of the documents
-# in flight, pipeline.DOC_WORKERS_PER_SLOT x parallelism of them at about five
-# parts each (the document, earlier answers, a repair note), plus about 20
-# template pieces: 64 covers parallelism 4. Past that, keys stay right and a
-# part is only escaped again. Each kept escape is about as large as its part.
+# in flight, at about five parts each (the document, earlier answers, a repair
+# note), plus about 20 template pieces. A replay run has one document in
+# flight; the other backends have pipeline.DOC_WORKERS_PER_SLOT x parallelism,
+# and 64 covers parallelism 4. Past that, keys stay right and a part is only
+# escaped again. Each kept escape is about as large as its part.
 ESCAPE_MEMO_SIZE = 64
 
 

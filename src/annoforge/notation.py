@@ -29,6 +29,7 @@ Grammar, informally::
     call       := NAME "(" kw ("," kw)* ")"
     kw         := NAME "=" (STRING | "[" STRING ("," STRING)* "]")
 
+A class or field NAME may not be a Python keyword (``keyword.iskeyword``).
 Strings accept both quote characters and the escapes \\ \" \' \n \t.
 The instance parser tolerates surrounding prose: it locates the first
 bracketed list in the input and ignores everything outside it. It reads the
@@ -45,6 +46,7 @@ prints; the instance printer keeps its own checks (see ``print_instances``).
 
 from __future__ import annotations
 
+import keyword
 import re
 from dataclasses import dataclass, field
 
@@ -166,6 +168,8 @@ def parse_guidelines(text: str) -> Schema:
         name = m.group(1)
         if name in names:
             raise ParseError(i + 1, 1, f"duplicate class name {name!r}")
+        if keyword.iskeyword(name):
+            raise ParseError(i + 1, 1, f"class name {name!r} is a Python keyword")
         cls, i = _parse_class_body(lines, i + 1, name)
         names.add(name)
         classes.append(cls)
@@ -232,6 +236,8 @@ def _parse_field(line: str, lineno: int, seen: set[str]) -> FieldDef:
     fname = m.group(1)
     if fname in seen:
         raise ParseError(lineno, indent + 1, f"duplicate field name {fname!r}")
+    if keyword.iskeyword(fname):
+        raise ParseError(lineno, indent + 1, f"field name {fname!r} is a Python keyword")
     if not comment:
         raise ParseError(lineno, indent + hash_idx + 1,
                          f"field {fname!r} is missing an explanatory comment")

@@ -12,10 +12,14 @@ length. A prompt is rebuilt by rendering its template from the document and
 the parsed responses of the document's earlier stages; a repair appends
 ``REPAIR_SUFFIX`` with the previous attempt's ``error``.
 
-Documents are independent and run on ``2 * client.parallelism`` workers; one
-holds an endpoint slot only while its request is on the wire. Outcomes are
-yielded in input order, each once it and every earlier document are done,
-so a replay-backed run is byte-deterministic and output can be streamed.
+Documents are independent. Under ``replay`` no call waits on a network, so
+they run one at a time in the calling thread, and the next document is drawn
+only after the previous outcome is yielded; worker threads would only contend
+for the interpreter lock. Under the other backends they run on
+``2 * client.parallelism`` workers; one holds an endpoint slot only while its
+request is on the wire. Outcomes are yielded in input order, each once it and
+every earlier document are done, so a replay-backed run is byte-deterministic
+and output can be streamed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -296,7 +300,7 @@ def config_meta(templates: dict[str, PromptTemplate], client: LLMClient,
             "grounding": grounding}
 
 
-def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
+def run_pipeline(docs: Iterable[Document], templates: dict[str, PromptTemplate],
                  client: LLMClient, *, keep_empty: bool = False,
                  grounding: str = "normalized",
                  max_doc_chars: int | None = None) -> Iterator[Outcome]:
@@ -365,6 +369,9 @@ def run_pipeline(docs: list[Document], templates: dict[str, PromptTemplate],
         )
         return record, None, trail
 
+    if client.backend == "replay":  # no call waits, so a worker would only wait for the GIL
+        yield from map(process, docs)
+        return
     with ThreadPoolExecutor(max_workers=DOC_WORKERS_PER_SLOT * client.parallelism) as pool:
         # closing pool.map's iterator cancels its pending futures
         yield from pool.map(process, docs)

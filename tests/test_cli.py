@@ -256,6 +256,21 @@ def test_resume_corrupt_middle_line_is_runtime_failure(runner, tmp_path):
     assert dataset.read_bytes() == b"".join(lines)
 
 
+def test_resume_refuses_a_doc_id_held_twice(runner, tmp_path):
+    """A resume must not extend a dataset that already holds a document twice."""
+    lines = GOLDEN_DATASET.read_bytes().splitlines(keepends=True)
+    lines.insert(3, lines[1])  # record 1 again, as line 4
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(b"".join(lines))
+    result = invoke(runner, "--config", CONFIG, "--output-dir", tmp_path,
+                    "--resume", "generate")
+    assert result.exit_code == 3
+    doc_id = json.loads(lines[1])["doc_id"]
+    assert (f"{dataset}:4: cannot resume: doc_id {doc_id!r} is already at line 2"
+            in result.stderr)
+    assert dataset.read_bytes() == b"".join(lines)
+
+
 def paris_corpus(tmp_path, n_docs):
     """``n_docs`` short documents about Paris, and a config that reads them."""
     with open(tmp_path / "docs.jsonl", "w", encoding="utf-8") as fh:

@@ -157,6 +157,8 @@ def test_comment_may_contain_hash():
     ('@dataclass\nclass A:\n    """D."""\n    x: str  # c\n    x: str  # c\n', "duplicate field name 'x'", 5),
     ('@dataclass\nclass A:\n    """D."""\n    x: str  # c\n\nclass A:\n    """D."""\n    y: str  # c\n',
      "duplicate class name 'A'", 6),
+    ('@dataclass\nclass None:\n    """D."""\n    x: str  # c\n', "class name 'None' is a Python keyword", 2),
+    ('@dataclass\nclass A:\n    """D."""\n    from: str  # origin\n', "field name 'from' is a Python keyword", 4),
 ])
 def test_guideline_errors_are_located(text, fragment, line):
     with pytest.raises(ParseError) as exc:
@@ -302,6 +304,9 @@ UNPRINTABLE = {
     "empty-comment": lambda s: setattr(s.classes[0].fields[0], "comment", ""),
     "padded-comment": lambda s: setattr(s.classes[0].fields[0], "comment", " the x "),
     "multi-line-comment": lambda s: setattr(s.classes[0].fields[0], "comment", "the\nx"),
+    "class-name-keyword": lambda s: setattr(s.classes[0], "name", "None"),
+    "field-name-keyword": lambda s: s.classes[0].fields.append(
+        FieldDef(name="from", kind=TEXT, comment="origin")),
 }
 
 

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
 import annoforge.dataset
 import annoforge.pipeline
 from annoforge import llm
+from annoforge.config import build_client, build_templates, load_config, load_docs
 from annoforge.corpus import Document
 from annoforge.dataset import record_to_dict, write_dataset
 from annoforge.notation import print_guidelines
@@ -372,6 +374,35 @@ def test_run_pipeline_parallelism_preserves_order_and_bytes():
     client.parallelism = 3
     parallel, _, _ = collect(run_pipeline([DOC, SECOND_DOC], default_templates(), client))
     assert record_bytes(serial) == record_bytes(parallel)
+
+
+def test_replay_runs_each_document_in_the_calling_thread_once_drawn():
+    """No replay call waits on a network, so the documents run one at a time
+    in the caller's thread, each drawn only once the previous one is taken."""
+    cfg = load_config(Path(__file__).parent / "data" / "config.yaml")
+    client = build_client(cfg)
+    assert (client.backend, client.parallelism) == ("replay", 2)
+    threads = []
+    complete = client.complete
+
+    def on_thread(*parts):
+        threads.append(threading.get_ident())
+        return complete(*parts)
+
+    client.complete = on_thread
+    drawn = []
+
+    def counted(docs):
+        for doc in docs:
+            drawn.append(doc.doc_id)
+            yield doc
+
+    outcomes = run_pipeline(counted(load_docs(cfg)), build_templates(cfg), client)
+    _, reject, _ = next(outcomes)
+    assert reject is None and len(drawn) == 1
+    outcomes.close()
+    assert len(drawn) == 1
+    assert len(threads) == 4 and set(threads) == {threading.get_ident()}
 
 
 BROKEN_DOC = Document(doc_id="rome-01", text="Rome was founded on the Palatine.")
