@@ -23,7 +23,7 @@ from pathlib import Path
 # import them), so only these are imported here; each command imports the rest
 from . import jsonl
 from .config import ConfigError, RunConfig, build_client, build_templates, load_config, load_docs
-from .validation import GROUNDING_POLICIES
+from .validation import GROUNDING_POLICIES, MATCHING_MODES
 
 log = logging.getLogger("annoforge.cli")  # not __main__ under python -m
 
@@ -210,22 +210,15 @@ def emit_train(opts: argparse.Namespace) -> int:
 
     path = _resolve_dataset(opts)
     out = Path(opts.out_path) if opts.out_path else path.with_name("train.jsonl")
-    counts: Counter[str] = Counter()
-
-    def counted():
-        for record in iter_dataset(path):
-            counts["records"] += 1
-            yield record
-
     with _replacing(out) as tmp:
-        written = emit_training_examples(counted(), tmp)
-    print(f"wrote {written} of {counts['records']} examples -> {out}")
-    return 0 if written == counts["records"] else 1
+        written, read = emit_training_examples(iter_dataset(path), tmp)
+    print(f"wrote {written} of {read} examples -> {out}")
+    return 0 if written == read else 1
 
 
 def eval_cmd(opts: argparse.Namespace) -> int:
     """Score predictions against gold files paired by name."""
-    from .evaluation import format_table, load_gold, load_predictions, score_benchmarks
+    from .evaluation import format_table, load_gold, load_predictions, macro_average, score
     from .notation import ParseError, parse_guidelines
 
     try:
@@ -236,30 +229,28 @@ def eval_cmd(opts: argparse.Namespace) -> int:
     gold_files = sorted(Path(opts.gold_dir).glob("*.jsonl"))
     if not gold_files:
         raise ConfigError(f"no gold files in {opts.gold_dir}")
-    missing = []
-
-    def load_suite(gold_file: Path):
+    per_dataset = {}
+    missing = False
+    for gold_file in gold_files:
         golds = load_gold(gold_file)
         pred_file = Path(opts.pred_dir) / gold_file.name
         if pred_file.exists():
-            return golds, load_predictions(pred_file, schema)
-        missing.append(gold_file.name)
-        log.warning("no predictions for %s; scoring as empty", gold_file.name)
-        return golds, []
-
-    # generators both: each suite is scored and let go before the next loads,
-    # and score reads its predictions one line at a time
-    suites = ((gold_file.stem, load_suite(gold_file)) for gold_file in gold_files)
-    report = score_benchmarks(suites, matching=opts.matching)
+            preds = load_predictions(pred_file, schema)  # score reads it line by line
+        else:
+            missing = True
+            log.warning("no predictions for %s; scoring as empty", gold_file.name)
+            preds = []
+        per_dataset[gold_file.stem] = score(golds, preds, matching=opts.matching)
+        del golds, preds  # let this suite go before the next one loads
+    macro_f1 = macro_average([r.f1 for r in per_dataset.values()])
     if opts.as_json:
         print(json.dumps({
-            "per_dataset": {name: r.to_dict()
-                            for name, r in report.per_dataset.items()},
-            "macro_f1": report.macro_f1,
+            "per_dataset": {name: r.to_dict() for name, r in per_dataset.items()},
+            "macro_f1": macro_f1,
         }, indent=2))
     else:
-        rows = [(name, report.per_dataset[name]) for name in sorted(report.per_dataset)]
-        print(format_table(rows, macro=report.macro_f1))
+        rows = [(name, per_dataset[name]) for name in sorted(per_dataset)]
+        print(format_table(rows, macro=macro_f1))
     return 1 if missing else 0
 
 
@@ -354,7 +345,7 @@ def build_parser(prog: str | None = None) -> argparse.ArgumentParser:
     sub = command("eval", eval_cmd)
     sub.add_argument("gold_dir", type=_existing_dir, metavar="GOLD_DIR")
     sub.add_argument("pred_dir", type=_existing_dir, metavar="PRED_DIR")
-    sub.add_argument("--matching", choices=["exact", "normalized"], default="exact",
+    sub.add_argument("--matching", choices=MATCHING_MODES, default="exact",
                      help="Span matching (default: exact).")
     sub.add_argument("--schema", dest="schema_path", type=_existing_file, metavar="PATH",
                      help="Guidelines file used to pick each class's mention field.")

@@ -289,9 +289,6 @@ def compute_overlap(dataset_labels: set[str],
     Emits one row per (benchmark, split) plus, per split, an aggregate row
     over the union of that split's gold labels across all benchmarks.
     """
-    if not dataset_labels:
-        raise ValueError("dataset label set is empty")
-
     def canon(label: str) -> str:
         label = label.strip()
         return label.casefold() if case_insensitive else label
@@ -351,17 +348,19 @@ def dataset_labels(records: Iterable[DatasetRecord]) -> set[str]:
             for inst in record.instances.instances}
 
 
-def emit_training_examples(records: Iterable[DatasetRecord], path: str | Path) -> int:
+def emit_training_examples(records: Iterable[DatasetRecord],
+                           path: str | Path) -> tuple[int, int]:
     """Write supervised examples: guidelines + document in, instance list out.
 
     Each record is re-validated first; a record that no longer passes is
-    skipped with a warning rather than poisoning the training file.
+    skipped with a warning rather than poisoning the training file. Returns
+    (examples written, records read).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
+    written = read = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
+        for read, record in enumerate(records, 1):
             errors = validate(record.instances, record.schema, record.document,
                               grounding=record.meta.get("grounding", "normalized"))
             if errors:
@@ -376,4 +375,4 @@ def emit_training_examples(records: Iterable[DatasetRecord], path: str | Path) -
             }
             fh.write(jsonl.dumps(example))
             written += 1
-    return written
+    return written, read

@@ -9,9 +9,9 @@ count as a false positive, and takes the counts left over as false
 negatives. ``exact`` matching compares surface strings verbatim and is the
 default for reported numbers; ``normalized`` folds case and collapses
 whitespace in the span text (labels always compare exactly).
-``load_predictions`` yields one prediction per line and ``score_benchmarks``
-scores each suite as an iterable yields it, so ``eval`` holds one suite's
-gold examples and one prediction at a time.
+``load_predictions`` yields one prediction per line, and ``eval`` scores each
+suite as it reads it, so it holds one suite's gold examples and one
+prediction at a time.
 
 Unparseable model outputs score as empty predictions rather than aborting,
 so evaluation stays total over a benchmark. A line that is not a well-formed
@@ -32,9 +32,7 @@ from pathlib import Path
 
 from . import jsonl
 from .notation import TEXT, InstanceSet, ParseError, Schema, parse_instances
-from .validation import normalize_span
-
-MATCHING_MODES = ("exact", "normalized")
+from .validation import MATCHING_MODES, normalize_span
 
 Mention = tuple[str, str]  # (label, span text)
 
@@ -78,12 +76,6 @@ class EvalResult:
         if self.breakdown:
             out["breakdown"] = {k: v.to_dict() for k, v in self.breakdown.items()}
         return out
-
-
-@dataclass
-class BenchmarkReport:
-    per_dataset: dict[str, EvalResult]
-    macro_f1: float
 
 
 def score(golds: Iterable[GoldExample], preds: Iterable[Prediction],
@@ -155,20 +147,6 @@ def macro_average(values: list[float]) -> float:
     if not values:
         raise ValueError("macro average of no values")
     return sum(values) / len(values)
-
-
-def score_benchmarks(suites: Iterable[tuple[str, tuple[list[GoldExample],
-                                                       Iterable[Prediction]]]],
-                     matching: str = "exact") -> BenchmarkReport:
-    """Score each ``(name, (golds, preds))`` suite as it arrives; macro-average the F1."""
-    per_dataset = {}
-    for name, (golds, preds) in suites:
-        per_dataset[name] = score(golds, preds, matching=matching)
-        del golds, preds  # let this suite go before the next is drawn
-    if not per_dataset:
-        raise ValueError("no suites to score")
-    macro = macro_average([r.f1 for r in per_dataset.values()])
-    return BenchmarkReport(per_dataset=per_dataset, macro_f1=macro)
 
 
 def mentions_from_instances(instance_set: InstanceSet,

@@ -21,8 +21,8 @@ def read(path: str | Path, what: str,
          decode: Callable[[str], object] = json.loads) -> Iterator[tuple[int, object]]:
     """Yield (line number, ``decode(line)``) for each non-blank line of ``path``.
 
-    A line ``decode`` fails on raises ``<file>:<line>: <what> (<error>)``, ``what``
-    naming the fault: a ``json.JSONDecodeError`` if it is not JSON, else a ``ValueError``.
+    A line ``decode`` fails on raises ``ValueError`` with the text
+    ``<file>:<line>: <what> (<error>)``, ``what`` naming the fault.
     """
     with open(path, "rb") as fh:  # decoded line by line, so bad UTF-8 names its line
         for lineno, line in enumerate(fh, start=1):
@@ -31,10 +31,7 @@ def read(path: str | Path, what: str,
             try:
                 value = decode(line.decode("utf-8"))
             except (ValueError, LookupError, TypeError, AttributeError) as exc:
-                error = (json.JSONDecodeError(exc.msg, exc.doc, exc.pos)  # a type callers catch
-                         if isinstance(exc, json.JSONDecodeError) else ValueError())
-                error.args = (f"{path}:{lineno}: {what} ({exc})",)
-                raise error from exc
+                raise ValueError(f"{path}:{lineno}: {what} ({exc})") from exc
             yield lineno, value
 
 

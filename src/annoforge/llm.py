@@ -116,7 +116,7 @@ class ChatRequest:
 @dataclass
 class ChatResponse:
     text: str
-    finish_reason: str  # stop | length | error
+    finish_reason: str  # stop | length
     usage: dict | None = None
     request_key: str | None = None  # set by complete(), so no caller hashes again
 

@@ -294,6 +294,8 @@ def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
         head = _CALL_HEAD_RE.match(text, pos)
         if head is None:
             raise _head_error(text, pos, keyword=False)
+        if keyword.iskeyword(head.group(1)):
+            raise _error(text, pos, f"class name {head.group(1)!r} is a Python keyword")
         pos = head.end()
         if text.startswith(")", pos):
             raise _error(text, pos, "expected at least one keyword argument")
@@ -303,6 +305,8 @@ def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
             if kw is None:
                 raise _head_error(text, pos, keyword=True)
             key = kw.group(1)
+            if keyword.iskeyword(key):
+                raise _error(text, pos, f"field name {key!r} is a Python keyword")
             if key in assignments:
                 raise _error(text, pos, f"duplicate keyword {key!r}")
             if kw.re is _KW_STRING_RE:
@@ -402,13 +406,13 @@ def print_instances(instance_set: InstanceSet) -> str:
     """
     parts = []
     for inst in instance_set.instances:
-        if not _NAME_RE.fullmatch(inst.class_name):
+        if not _NAME_RE.fullmatch(inst.class_name) or keyword.iskeyword(inst.class_name):
             raise ValueError(f"invalid class name {inst.class_name!r}")
         if not inst.assignments:
             raise ValueError(f"instance of {inst.class_name!r} has no assignments")
         kws = []
         for key, value in inst.assignments.items():
-            if not _NAME_RE.fullmatch(key):
+            if not _NAME_RE.fullmatch(key) or keyword.iskeyword(key):
                 raise ValueError(f"invalid field name {key!r}")
             kws.append(f"{key}={_format_value(value)}")
         parts.append(f"{inst.class_name}({', '.join(kws)})")

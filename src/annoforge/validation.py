@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .notation import TEXT, TEXT_LIST, InstanceSet, Schema
 
 GROUNDING_POLICIES = ("exact", "normalized", "off")
+MATCHING_MODES = ("exact", "normalized")  # how ``eval`` compares span text
 
 
 class ErrorCode(str, enum.Enum):

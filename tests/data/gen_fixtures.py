@@ -318,7 +318,7 @@ def main():
     golden.mkdir(exist_ok=True)
     write_dataset(records, golden / "dataset.jsonl")
     emitted = emit_training_examples(records, golden / "train.jsonl")
-    assert emitted == len(DOCS), emitted
+    assert emitted == (len(DOCS), len(DOCS)), emitted
     print(f"wrote {len(records)} records, {recorder.calls} cache entries")
 
 

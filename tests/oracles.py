@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import keyword
 import re
 
 from annoforge.notation import EntityInstance, InstanceSet, ParseError
@@ -144,9 +145,12 @@ def oracle_parse_instances(text: str, doc_id: str = "") -> InstanceSet:
 def _parse_call(cur: _Cursor) -> EntityInstance:
     if not (cur.peek().isalpha() or cur.peek() == "_"):
         raise cur.error("expected an instance call")
+    at = cur.pos
     name = cur.take_name()
     cur.skip_ws()
     cur.expect("(", "'(' after class name")
+    if keyword.iskeyword(name):
+        raise cur.error(f"class name {name!r} is a Python keyword", at=at)
     assignments: dict[str, str | list[str]] = {}
     cur.skip_ws()
     if cur.peek() == ")":
@@ -179,6 +183,8 @@ def _parse_kw(cur: _Cursor, assignments: dict[str, str | list[str]]) -> None:
         raise cur.error("non-literal value (expected 'name=value')", at=at)
     cur.pos += 1
     cur.skip_ws()
+    if keyword.iskeyword(key):
+        raise cur.error(f"field name {key!r} is a Python keyword", at=at)
     if key in assignments:
         raise cur.error(f"duplicate keyword {key!r}", at=at)
     assignments[key] = _parse_value(cur)

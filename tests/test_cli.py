@@ -742,34 +742,46 @@ def test_analysis_memory_does_not_grow_with_the_dataset(runner, tmp_path):
         assert peak < 1.5 * base[command], (command, base[command], peak)
 
 
-def eval_suite(tmp_path: Path, name: str, n_examples: int, pred_mentions: int) -> tuple:
-    """A gold suite of one-mention examples, and predictions of ``pred_mentions`` each."""
+def eval_suite(tmp_path: Path, name: str, n_examples: int, pred_mentions: int,
+               suites: int = 1) -> tuple:
+    """``suites`` gold suites of one-mention examples, and predictions of
+    ``pred_mentions`` each."""
     gold, pred = tmp_path / name / "gold", tmp_path / name / "pred"
     gold.mkdir(parents=True)
     pred.mkdir()
-    with open(gold / "suite.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps({"id": i, "text": f"entity {i}",
-                                  "mentions": [{"label": "A", "span": f"entity {i}"}]})
-                      + "\n" for i in range(n_examples))
-    with open(pred / "suite.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps({"id": i, "mentions": [
-            {"label": "A", "span": f"entity {i}-{k}"} for k in range(pred_mentions)]})
-            + "\n" for i in range(n_examples))
+    for suite in range(suites):
+        with open(gold / f"suite{suite}.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps({"id": i, "text": f"entity {i}",
+                                      "mentions": [{"label": "A", "span": f"entity {i}"}]})
+                          + "\n" for i in range(n_examples))
+        with open(pred / f"suite{suite}.jsonl", "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps({"id": i, "mentions": [
+                {"label": "A", "span": f"entity {i}-{k}"} for k in range(pred_mentions)]})
+                + "\n" for i in range(n_examples))
     return gold, pred
+
+
+def eval_peak(runner, gold: Path, pred: Path) -> int:
+    """The traced peak of one successful ``eval --json``."""
+    result, found = traced_peak(invoke, runner, "eval", gold, pred, "--json")
+    assert result.exit_code == 0, result.output + result.stderr
+    return found
 
 
 def test_eval_memory_does_not_grow_with_the_prediction_file(runner, tmp_path):
     """eval holds a suite's gold examples and one prediction, not every prediction."""
-
-    def peak(gold, pred):
-        result, found = traced_peak(invoke, runner, "eval", gold, pred, "--json")
-        assert result.exit_code == 0, result.output + result.stderr
-        return found
-
-    peak(*eval_suite(tmp_path, "warm", 5, 1))  # first-call caches, lazy imports
-    base = peak(*eval_suite(tmp_path, "one", 400, 1))
-    grown = peak(*eval_suite(tmp_path, "forty", 400, 40))
+    eval_peak(runner, *eval_suite(tmp_path, "warm", 5, 1))  # first-call caches, lazy imports
+    base = eval_peak(runner, *eval_suite(tmp_path, "one", 400, 1))
+    grown = eval_peak(runner, *eval_suite(tmp_path, "forty", 400, 40))
     assert grown < 1.5 * base, (base, grown)
+
+
+def test_eval_holds_one_suite_at_a_time(runner, tmp_path):
+    """eval lets each suite's gold examples go before it loads the next suite."""
+    eval_peak(runner, *eval_suite(tmp_path, "warm", 5, 1))  # first-call caches, lazy imports
+    base = eval_peak(runner, *eval_suite(tmp_path, "one", 400, 1))
+    grown = eval_peak(runner, *eval_suite(tmp_path, "eight", 400, 1, suites=8))
+    assert grown < 1.25 * base, (base, grown)
 
 
 # stats and overlap never read a record's schema, so they do not parse it:

@@ -237,8 +237,7 @@ def test_compute_overlap_canonicalization():
 
 def test_compute_overlap_edge_cases():
     assert compute_overlap({"A"}, {"b": {"t": {"X"}}})[0].coverage == 0
-    with pytest.raises(ValueError, match="dataset label set is empty"):
-        compute_overlap(set(), {"b": {"t": {"X"}}})
+    assert compute_overlap(set(), {"b": {"t": {"X"}}})[0].coverage == 0
     with pytest.raises(ValueError, match="empty label space"):
         compute_overlap({"A"}, {"b": {"t": set()}})
 
@@ -262,7 +261,7 @@ def test_labelspace_files(tmp_path):
 def test_emit_training_examples(tmp_path):
     records = make_records()
     path = tmp_path / "train.jsonl"
-    assert emit_training_examples(records, path) == 2
+    assert emit_training_examples(records, path) == (2, 2)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [ex["doc_id"] for ex in lines] == ["ml-01", "city-01"]
     first = lines[0]
@@ -280,7 +279,7 @@ def test_emit_skips_records_failing_revalidation(tmp_path, caplog):
     path = tmp_path / "train.jsonl"
     with caplog.at_level(logging.WARNING, logger="annoforge.dataset"):
         written = emit_training_examples(records, path)
-    assert written == 1
+    assert written == (1, 2)
     assert any("skipping ml-01" in m for m in caplog.messages)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["doc_id"] == "city-01"

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from annoforge import evaluation
 from annoforge.evaluation import (
     MATCHING_MODES,
     EvalResult,
@@ -17,7 +16,6 @@ from annoforge.evaluation import (
     macro_average,
     mentions_from_instances,
     score,
-    score_benchmarks,
 )
 from annoforge.notation import parse_guidelines, parse_instances
 from oracles import oracle_counts, oracle_label_counts
@@ -182,44 +180,6 @@ def test_score_reads_one_shot_generators():
         score(iter([ex("1")]), iter([pr("1"), pr("1")]))
     with pytest.raises(ValueError, match="unknown example_id '9'"):
         score(iter([ex("1")]), iter([pr("9")]))
-
-
-def test_score_benchmarks_macro():
-    suites = {
-        "one": ([ex("1", ("A", "x"))], [pr("1", ("A", "x"))]),      # F1 = 1
-        "two": ([ex("1", ("A", "x"))], [pr("1", ("A", "y"))]),      # F1 = 0
-    }
-    report = score_benchmarks(suites.items())
-    assert report.per_dataset["one"].f1 == 1.0
-    assert report.per_dataset["two"].f1 == 0.0
-    assert report.macro_f1 == 0.5
-
-    single = score_benchmarks({"only": suites["one"]}.items())
-    assert single.macro_f1 == single.per_dataset["only"].f1
-
-    with pytest.raises(ValueError, match="no suites"):
-        score_benchmarks({}.items())
-
-
-def test_score_benchmarks_scores_each_suite_as_it_arrives(monkeypatch):
-    suites = {name: random_suite(random.Random(seed))
-              for name, seed in (("a", 1), ("b", 2), ("c", 3))}
-    drawn, scored = [], []
-
-    def stream():
-        for name, suite in suites.items():
-            assert scored == drawn  # every suite drawn so far is scored
-            drawn.append(name)
-            yield name, suite
-
-    def spy(golds, preds, matching="exact"):
-        scored.append(drawn[-1])
-        return score(golds, preds, matching=matching)
-
-    monkeypatch.setattr(evaluation, "score", spy)
-    streamed = score_benchmarks(stream(), matching="normalized")
-    assert scored == ["a", "b", "c"]
-    assert streamed == score_benchmarks(suites.items(), matching="normalized")
 
 
 def test_macro_average_arithmetic():

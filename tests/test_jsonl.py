@@ -23,8 +23,9 @@ def test_read_numbers_the_non_blank_lines(tmp_path):
 def test_read_names_the_file_line_and_fault(tmp_path):
     path = tmp_path / "f.jsonl"
     path.write_text('{"a": 1}\nnot json\n', encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError) as caught:
+    with pytest.raises(ValueError) as caught:
         list(jsonl.read(path, "corrupt thing"))
+    assert type(caught.value) is ValueError
     assert str(caught.value) == \
         f"{path}:2: corrupt thing (Expecting value: line 1 column 1 (char 0))"
 

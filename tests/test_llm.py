@@ -141,8 +141,9 @@ def test_replay_cache_malformed_terminated_line_raises(tmp_path):
     path.write_text('{"request_key": "k1", "respo\n'
                     '{"request_key": "k2", "response_text": "b", "finish_reason": "stop"}\n',
                     encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError, match=rf"{re.escape(str(path))}:1: "):
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: ") as caught:
         ReplayCache(path)
+    assert type(caught.value) is ValueError
 
 
 def test_replay_cache_must_exist(tmp_path):

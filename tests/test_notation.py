@@ -246,6 +246,9 @@ def test_equality_ignores_source_info():
     ('[Framework(name=["a",])]', "expected a string literal in list value"),
     ('[Framework(name=["a" "b"])]', "expected ',' or ']' in list value"),
     ("[A(x=\"1\") B(y=\"2\")]", "expected ',' or ']'"),
+    # Python keywords are not names, as in guideline notation
+    ('[None(x="a")]', "class name 'None' is a Python keyword"),
+    ('[Flight(from="Paris")]', "field name 'from' is a Python keyword"),
     # truncated output: the input ends where a keyword or a value should start
     ('[A(x="1", ', "unterminated instance list"),
     ("[A(", "unterminated instance list"),
@@ -277,6 +280,12 @@ def test_print_rejects_unprintable_values():
     with pytest.raises(ValueError):
         print_instances(InstanceSet(doc_id="d", instances=[
             EntityInstance(class_name="A", assignments={"x": 5})]))
+    with pytest.raises(ValueError, match="invalid class name 'None'"):
+        print_instances(InstanceSet(doc_id="d", instances=[
+            EntityInstance(class_name="None", assignments={"x": "a"})]))
+    with pytest.raises(ValueError, match="invalid field name 'from'"):
+        print_instances(InstanceSet(doc_id="d", instances=[
+            EntityInstance(class_name="Flight", assignments={"from": "Paris"})]))
 
 
 def printable_schema() -> Schema:
@@ -399,7 +408,7 @@ LAYOUT = ["", "", "", " ", "  ", "\n", "\t", "\r\n", "\n    "]
 LITERAL_CHARS = "ab \\\n\t\"'\u00e9\r,=)]"
 EDIT_CHARS = list("[]()\"'\\=,") + ["\n", "\t", "\u00e9", "0", "7"]
 literal_bytes = st.binary(min_size=1, max_size=9)
-short_names = st.sampled_from(["A", "Foo", "_k", "x9", "B\u00e9", "name"])
+short_names = st.sampled_from(["A", "Foo", "_k", "x9", "B\u00e9", "name", "from"])
 
 
 def string_literal(data: bytes) -> str:
