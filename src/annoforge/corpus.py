@@ -30,7 +30,8 @@ def load_corpus(path: str | Path) -> list[Document]:
 
 
 def _load_jsonl(path: Path) -> list[Document]:
-    docs: dict[str, Document] = {}
+    docs: list[Document] = []
+    lines: dict[str, int] = {}  # each doc_id's line, so a duplicate names both
     for lineno, record in jsonl.read(path, "invalid JSON"):
         if not isinstance(record, dict):
             raise ValueError(f"{path}:{lineno}: expected an object")
@@ -38,10 +39,12 @@ def _load_jsonl(path: Path) -> list[Document]:
         if not isinstance(text, str) or not text.strip():
             raise ValueError(f"{path}:{lineno}: record has no text")
         doc_id = str(record["id"]) if record.get("id") is not None else f"doc-{lineno - 1:05d}"
-        if doc_id in docs:
-            raise ValueError(f"duplicate doc_id {doc_id!r} in {path}")
-        docs[doc_id] = Document(doc_id=doc_id, text=text)
-    return list(docs.values())
+        if doc_id in lines:
+            raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r} "
+                             f"is already at line {lines[doc_id]}")
+        lines[doc_id] = lineno
+        docs.append(Document(doc_id=doc_id, text=text))
+    return docs
 
 
 def _load_text_dir(path: Path) -> list[Document]:

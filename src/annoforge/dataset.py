@@ -43,7 +43,7 @@ from .notation import (
     print_guidelines,
     print_instances,
 )
-from .validation import validate
+from .validation import GROUNDING_POLICIES, validate
 
 log = logging.getLogger(__name__)
 
@@ -90,7 +90,17 @@ def record_to_dict(record: DatasetRecord) -> dict:
 
 
 def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
+    """The record a dataset line's object holds; a field of the wrong type or an
+    unknown ``meta.grounding`` raises ``TypeError`` or ``ValueError``."""
     doc_id = data["doc_id"]
+    if not isinstance(data["document"], str):
+        raise TypeError(f"document is {type(data['document']).__name__}, not a string")
+    for key in ("validation", "meta"):
+        if not isinstance(data.get(key, {}), dict):
+            raise TypeError(f"{key} is {type(data[key]).__name__}, not an object")
+    grounding = data.get("meta", {}).get("grounding", "normalized")
+    if grounding not in GROUNDING_POLICIES:
+        raise ValueError(f"unknown grounding policy {grounding!r}")
     record = DatasetRecord(
         doc_id=doc_id,
         document=data["document"],

@@ -16,11 +16,11 @@ prediction at a time.
 Unparseable model outputs score as empty predictions rather than aborting,
 so evaluation stays total over a benchmark. A line that is not a well-formed
 gold example or prediction (bad JSON, no ``id``, a mention without ``label``
-or ``span``, an ``output`` that is not a string) raises ``ValueError``
-naming the file and line. A prediction file is checked as it is scored: a
-corrupt line, a duplicate id or an unknown id raises when the stream reaches
-it, so of several such faults the earliest in the file is reported. All 0/0
-ratios are defined as 0.
+or ``span``, a label, span or ``output`` that is not a string) raises
+``ValueError`` naming the file and line. A prediction file is checked as it
+is scored: a corrupt line, a duplicate id or an unknown id raises when the
+stream reaches it, so of several such faults the earliest in the file is
+reported. All 0/0 ratios are defined as 0.
 """
 
 from __future__ import annotations
@@ -176,7 +176,12 @@ def mentions_from_instances(instance_set: InstanceSet,
 
 
 def _mentions(record: dict) -> list[Mention]:
-    return [(m["label"], m["span"]) for m in record.get("mentions", [])]
+    mentions = [(m["label"], m["span"]) for m in record.get("mentions", [])]
+    for label, span in mentions:
+        if not (isinstance(label, str) and isinstance(span, str)):
+            name, value = ("span", span) if isinstance(label, str) else ("label", label)
+            raise TypeError(f"mention {name} is {type(value).__name__}, not a string")
+    return mentions
 
 
 def _gold_example(line: str) -> GoldExample:
@@ -186,11 +191,14 @@ def _gold_example(line: str) -> GoldExample:
 
 
 def load_gold(path: str | Path) -> list[GoldExample]:
-    """Read a gold JSONL file: one {id, text, mentions: [{label, span}]} per line."""
+    """Read a gold JSONL file: one {id, text, mentions: [{label, span}]} per line.
+
+    A blank span, which normalizes to the empty span, raises ``ValueError``
+    naming the file and line."""
     examples = []
     for lineno, example in jsonl.read(path, "corrupt gold example", _gold_example):
         for label, span in example.mentions:
-            if not span:
+            if not span.strip():
                 raise ValueError(f"{path}:{lineno}: empty span for label {label!r}")
         examples.append(example)
     return examples

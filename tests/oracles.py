@@ -5,6 +5,8 @@ matching by trying every pred-gold pairing (branch and bound over
 assignments) instead of counter arithmetic. The instance parser walks the
 text one character at a time; only its result types come from the package.
 The request key is one ``json.dumps`` of the whole payload, hashed at once.
+Grounding is its definition: the normalized span inside the whole normalized
+document.
 """
 
 from __future__ import annotations
@@ -237,6 +239,17 @@ def _parse_string(cur: _Cursor) -> str:
         else:
             out.append(c)
             cur.pos += 1
+
+
+def oracle_grounded(span: str, document: str, policy: str) -> bool:
+    """Whether ``span`` is grounded in ``document`` under ``policy``: ``exact``
+    a verbatim substring, ``normalized`` a substring once both sides have their
+    whitespace collapsed and their case folded, ``off`` always."""
+    if policy == "off":
+        return True
+    if policy == "exact":
+        return span in document
+    return _norm(span) in _norm(document)
 
 
 def oracle_request_key(prompt: str, params) -> str:

@@ -61,15 +61,20 @@ def mutated_dataset(tmp_path):
     return path
 
 
-def corrupted_dataset(tmp_path, field):
-    """Golden dataset whose second record has unparseable ``field`` text."""
+def edited_dataset(tmp_path, lineno, edit):
+    """Golden dataset whose record on line ``lineno`` was changed in place by ``edit``."""
     lines = GOLDEN_DATASET.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[2])
-    record[field] = "not notation"
-    lines[2] = json.dumps(record, sort_keys=True, ensure_ascii=False)
+    record = json.loads(lines[lineno - 1])
+    edit(record)
+    lines[lineno - 1] = json.dumps(record, sort_keys=True, ensure_ascii=False)
     path = tmp_path / "corrupt.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def corrupted_dataset(tmp_path, field):
+    """Golden dataset whose second record has unparseable ``field`` text."""
+    return edited_dataset(tmp_path, 3, lambda record: record.update({field: "not notation"}))
 
 
 def cli_env() -> dict:
@@ -1068,6 +1073,14 @@ def faulty_input(tmp_path: Path, fault: str) -> Path:
         return tmp_path / "file" / "input.jsonl"
     if fault == "corrupt-record":
         return corrupted_dataset(tmp_path, "instances")
+    if fault in RECORD_FAULTS:
+        return edited_dataset(tmp_path, *RECORD_FAULTS[fault])
+    if fault in EVAL_FAULTS:  # gold/x.jsonl and pred/x.jsonl, one example each
+        for side, mention in zip(("gold", "pred"), EVAL_FAULTS[fault]):
+            (path / side).mkdir(parents=True)
+            (path / side / "x.jsonl").write_text(json.dumps(
+                {"id": 1, "text": "x 5", "mentions": [mention]}) + "\n", encoding="utf-8")
+        return path
     if fault == "not-utf8":
         path.write_bytes(b"\xff{document}\n")
         return path
@@ -1081,8 +1094,29 @@ def faulty_input(tmp_path: Path, fault: str) -> Path:
         "header-only": GOLDEN_DATASET.read_text(encoding="utf-8").splitlines()[0] + "\n",
         "not-json": "hello world\n",
         "no-text": '{"id": "a", "body": "no text field"}\n',
+        "duplicate-id": "".join(json.dumps({"id": doc_id, "text": "x"}) + "\n"
+                                for doc_id in "aba"),
     }[fault], encoding="utf-8")
     return path
+
+
+# a record field of the wrong type: (line, edit of that line's record)
+RECORD_FAULTS = {
+    "document-null": (2, lambda record: record.update(document=None)),
+    "document-int": (2, lambda record: record.update(document=7)),
+    "meta-list": (2, lambda record: record.update(meta=[])),
+    "grounding-unknown": (2, lambda record: record["meta"].update(grounding="fuzzy")),
+    "validation-list": (3, lambda record: record.update(validation=[])),
+}
+# (gold mention, predicted mention) of one example whose text is "x 5"
+EVAL_FAULTS = {
+    "gold-span-int": ({"label": "A", "span": 5}, {"label": "A", "span": "5"}),
+    "gold-label-null": ({"label": None, "span": "5"}, {"label": "A", "span": "5"}),
+    "gold-span-blank": ({"label": "A", "span": "  "}, {"label": "A", "span": "5"}),
+    "pred-span-int": ({"label": "A", "span": "5"}, {"label": "A", "span": 5}),
+    "pred-label-null": ({"label": "A", "span": "5"}, {"label": None, "span": "5"}),
+}
+EVAL_FAULT = ["eval", "{input}/gold", "{input}/pred"]
 
 
 DATASET_COMMANDS = {
@@ -1118,6 +1152,9 @@ INPUT_FAULTS = [
           ("directory", 2, "error: dataset is a directory, not a file: {input}"),
           ("under-a-file", 2, "error: dataset not found: {input}"),
       ]],
+    *[(f"{name}-{fault}", args, None, fault, 3, f"{{input}}:{line}: corrupt record")
+      for name, args in DATASET_COMMANDS.items()
+      for fault, (line, _) in RECORD_FAULTS.items()],
     *[(f"{name}-header-only", DATASET_COMMANDS[name], None, "header-only", 0, None)
       for name in ("validate", "stats", "emit-train")],
     ("overlap-header-only", DATASET_COMMANDS["overlap"], None, "header-only", 3,
@@ -1137,10 +1174,24 @@ INPUT_FAULTS = [
     ("eval-pred-file", ["eval", EVAL_GOLD, "{input}"], None, "empty-file", 2,
      "path '{input}' is not a directory"),
     ("eval-empty-files", ["eval", "{input}", "{input}"], None, "dir-of-empty-file", 0, None),
+    ("eval-gold-span-int", EVAL_FAULT, None, "gold-span-int", 3,
+     "{input}/gold/x.jsonl:1: corrupt gold example (mention span is int, not a string)"),
+    ("eval-normalized-gold-span-int", [*EVAL_FAULT, "--matching", "normalized"], None,
+     "gold-span-int", 3, "{input}/gold/x.jsonl:1: corrupt gold example"),
+    ("eval-gold-label-null", EVAL_FAULT, None, "gold-label-null", 3,
+     "{input}/gold/x.jsonl:1: corrupt gold example (mention label is NoneType, not a string)"),
+    ("eval-gold-span-blank", EVAL_FAULT, None, "gold-span-blank", 3,
+     "{input}/gold/x.jsonl:1: empty span for label 'A'"),
+    ("eval-pred-span-int", EVAL_FAULT, None, "pred-span-int", 3,
+     "{input}/pred/x.jsonl:1: corrupt prediction"),
+    ("eval-pred-label-null", EVAL_FAULT, None, "pred-label-null", 3,
+     "{input}/pred/x.jsonl:1: corrupt prediction"),
     ("generate-corpus-no-text", GENERATE, CORPUS_CONFIG, "no-text", 3,
      "{input}:1: record has no text"),
     ("generate-corpus-not-json", GENERATE, CORPUS_CONFIG, "not-json", 3,
      "{input}:1: invalid JSON"),
+    ("generate-corpus-duplicate-id", GENERATE, CORPUS_CONFIG, "duplicate-id", 3,
+     "{input}:3: duplicate doc_id 'a' is already at line 1"),
     ("generate-corpus-empty-file", GENERATE, CORPUS_CONFIG, "empty-file", 1, None),
     ("generate-corpus-empty-dir", GENERATE, CORPUS_CONFIG, "directory", 1, None),
     ("generate-corpus-under-a-file", GENERATE, CORPUS_CONFIG, "under-a-file", 2,

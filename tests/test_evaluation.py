@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -264,10 +265,16 @@ def test_load_gold_and_predictions(tmp_path):
 
 def test_load_gold_rejects_empty_span(tmp_path):
     path = tmp_path / "gold.jsonl"
-    path.write_text(json.dumps(
-        {"id": 1, "text": "x", "mentions": [{"label": "A", "span": ""}]}) + "\n")
-    with pytest.raises(ValueError, match="empty span"):
-        load_gold(path)
+    for mention, error in [
+        ({"label": "A", "span": ""}, ":1: empty span for label 'A'"),
+        ({"label": "A", "span": " \t\xa0"}, ":1: empty span for label 'A'"),
+        ({"label": "A", "span": 5}, ":1: corrupt gold example (mention span is int, not a string)"),
+        ({"label": None, "span": "x"},
+         ":1: corrupt gold example (mention label is NoneType, not a string)"),
+    ]:
+        path.write_text(json.dumps({"id": 1, "text": "x", "mentions": [mention]}) + "\n")
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_gold(path)
 
 
 def test_format_table():

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
-import pytest
+import re
 
-from annoforge.notation import parse_guidelines, parse_instances
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annoforge import validation
+from annoforge.notation import EntityInstance, InstanceSet, parse_guidelines, parse_instances
 from annoforge.validation import (
+    GROUNDING_POLICIES,
     ErrorCode,
     filter_instances,
     normalize_span,
     validate,
 )
+from oracles import oracle_grounded
 
 SCHEMA = parse_guidelines('''@dataclass
 class Framework:
@@ -123,6 +130,60 @@ def test_normalized_grounding_collapses_whitespace():
                                      '    name: str  # city name\n'),
                     doc)
     assert errs == []
+
+
+# letters, two of which change length when case-folded, and whitespace that is not a space
+GROUNDING_ALPHABET = "aAbSs\u00df\u0130i \t\n\xa0\u2028"
+WHITESPACE_RUNS = [" ", "\t", "\xa0", "\u2028", "  \n"]
+
+
+@st.composite
+def grounding_cases(draw):
+    """A document and spans cut from it (verbatim, case- or whitespace-varied) or not."""
+    document = draw(st.text(GROUNDING_ALPHABET, max_size=30))
+    spans = []
+    for kind in draw(st.lists(st.sampled_from(["slice", "case", "space", "absent"]),
+                              min_size=1, max_size=6)):
+        start = draw(st.integers(0, len(document)))
+        span = document[start:draw(st.integers(start, len(document)))]  # may cut mid-word
+        if kind == "case":
+            span = draw(st.sampled_from([str.upper, str.lower, str.swapcase, str.casefold]))(span)
+        elif kind == "space":
+            span = re.sub(r"\s+", lambda _: draw(st.sampled_from(WHITESPACE_RUNS)), span)
+        elif kind == "absent":
+            span = draw(st.text(GROUNDING_ALPHABET + "z", min_size=1, max_size=8))
+        spans.append(span)
+    return document, spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(grounding_cases())
+def test_validate_flags_exactly_the_spans_the_definition_calls_ungrounded(case):
+    document, spans = case
+    schema = parse_guidelines('@dataclass\nclass Span:\n    """A span."""\n'
+                              "    value: str  # the text\n")
+    iset = InstanceSet(doc_id="d", instances=[EntityInstance("Span", {"value": span})
+                                              for span in spans])
+    for policy in GROUNDING_POLICIES:
+        flagged = {e.instance_index for e in validate(iset, schema, document, policy)
+                   if e.code == ErrorCode.UNGROUNDED_SPAN}
+        assert flagged == {i for i, span in enumerate(spans)
+                           if span.strip() and not oracle_grounded(span, document, policy)}
+
+
+def test_normalized_grounding_normalizes_the_document_only_for_a_span_not_verbatim(monkeypatch):
+    normalized = []
+
+    def counting(text):
+        normalized.append(text)
+        return normalize_span(text)
+
+    monkeypatch.setattr(validation, "normalize_span", counting)
+    verbatim = '[Framework(name="TensorFlow", aliases=["torch"]), Dataset(name="ImageNet")]'
+    assert check(verbatim) == []
+    assert normalized == []
+    assert check('[Framework(name="TENSORFLOW", aliases=["Torch"])]') == []
+    assert normalized.count(DOC) == 1
 
 
 def test_grounding_off_skips_document_entirely():
