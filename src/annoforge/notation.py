@@ -29,7 +29,8 @@ Grammar, informally::
     call       := NAME "(" kw ("," kw)* ")"
     kw         := NAME "=" (STRING | "[" STRING ("," STRING)* "]")
 
-A class or field NAME may not be a Python keyword (``keyword.iskeyword``).
+A class, field or keyword NAME must be a Python identifier
+(``str.isidentifier``) and may not be a Python keyword (``keyword.iskeyword``).
 Strings accept both quote characters and the escapes \\ \" \' \n \t.
 The instance parser tolerates surrounding prose: it locates the first
 bracketed list in the input and ignores everything outside it. It reads the
@@ -39,6 +40,15 @@ per keyword argument. Input that ends where a call, a keyword or a value
 should start, as a truncated model output does (``[A(x="1", ``, ``[A(``,
 ``[A(x=``, ``[A(x=[``), raises "unterminated instance list" located at the
 end of the input.
+
+The guideline parser reads text in the exact layout ``print_guidelines``
+writes (``@dataclass``, ``class N:``, a docstring indented four spaces, then
+``    name: T  # comment`` lines, blocks joined by a blank line) with one regex
+match per class. That is the text every dataset record stores. Any other
+layout (CRLF, other decorators, other spacing, blank lines) and any invalid
+text go to the line parser, which alone defines the language and locates
+every error; ``test_parse_guidelines_matches_line_parser`` checks that both
+paths give the same Schema or the same ParseError.
 
 The guideline printer parses its text back, so the parser alone decides what
 prints; the instance printer keeps its own checks (see ``print_instances``).
@@ -57,6 +67,16 @@ _NAME = r"[A-Za-z_]\w*"
 _NAME_RE = re.compile(_NAME)
 _CLASS_RE = re.compile(r"class\s+([A-Za-z_]\w*)\s*:\s*$")
 _FIELD_RE = re.compile(r"([A-Za-z_]\w*)\s*:\s*(.+?)\s*$")
+
+# The layout print_guidelines writes. A docstring holds no '"""' and does not
+# end in a quote, and a comment neither starts nor ends with whitespace, so
+# the line parser reads each part back exactly as matched.
+_CANON_KINDS = {"str": (TEXT, True), "List[str]": (TEXT_LIST, True),
+                "Optional[str]": (TEXT, False), "Optional[List[str]]": (TEXT_LIST, False)}
+_CANON_FIELD = rf"    ({_NAME}): ({'|'.join(map(re.escape, _CANON_KINDS))})  # (\S(?:[^\n]*\S)?)\n"
+_CANON_FIELD_RE = re.compile(_CANON_FIELD)
+_CANON_CLASS_RE = re.compile(
+    rf'@dataclass\nclass ({_NAME}):\n    """([^"]*(?:""?[^"]+)*)"""\n((?:{_CANON_FIELD})+)(?:\n(?=@)|\Z)')
 
 # Instance-notation tokens. Whitespace is exactly " \t\r\n"; a string stops
 # at its closing quote, and a newline or an unknown escape leaves it unmatched
@@ -143,7 +163,47 @@ def parse_guidelines(text: str) -> Schema:
 
     Unknown decorators and blank lines are tolerated; any other deviation
     from the grammar raises ParseError with a location.
+
+    Text in the exact layout ``print_guidelines`` writes, as every dataset
+    record stores, is read by one regex match per class; any other text,
+    and every error, is left to the line parser, which decides the language.
+    ``test_parse_guidelines_matches_line_parser`` keeps the two in agreement.
     """
+    return _parse_canonical(text) or _parse_lines(text)
+
+
+def _parse_canonical(text: str) -> Schema | None:
+    """The Schema of ``text`` if it is canonical and valid, else None."""
+    classes: list[EntityClass] = []
+    names: set[str] = set()
+    pos = 0
+    while pos < len(text):
+        m = _CANON_CLASS_RE.match(text, pos)
+        if m is None:
+            return None
+        name, guideline, body = m.group(1, 2, 3)
+        if name in names or not _is_name(name) or not guideline.strip():
+            return None
+        fields: list[FieldDef] = []
+        seen: set[str] = set()
+        for fname, annotation, comment in _CANON_FIELD_RE.findall(body):
+            if fname in seen or not _is_name(fname):
+                return None
+            seen.add(fname)
+            kind, required = _CANON_KINDS[annotation]
+            fields.append(FieldDef(fname, kind, comment, required))
+        names.add(name)
+        classes.append(EntityClass(name, guideline, fields))
+        pos = m.end()
+    return Schema(classes) if classes else None
+
+
+def _is_name(name: str) -> bool:
+    return name.isidentifier() and not keyword.iskeyword(name)
+
+
+def _parse_lines(text: str) -> Schema:
+    """Read guideline notation line by line: any layout, every error located."""
     lines = text.split("\n")
     classes: list[EntityClass] = []
     names: set[str] = set()
@@ -170,6 +230,8 @@ def parse_guidelines(text: str) -> Schema:
             raise ParseError(i + 1, 1, f"duplicate class name {name!r}")
         if keyword.iskeyword(name):
             raise ParseError(i + 1, 1, f"class name {name!r} is a Python keyword")
+        if not name.isidentifier():
+            raise ParseError(i + 1, 1, f"class name {name!r} is not a Python identifier")
         cls, i = _parse_class_body(lines, i + 1, name)
         names.add(name)
         classes.append(cls)
@@ -238,6 +300,8 @@ def _parse_field(line: str, lineno: int, seen: set[str]) -> FieldDef:
         raise ParseError(lineno, indent + 1, f"duplicate field name {fname!r}")
     if keyword.iskeyword(fname):
         raise ParseError(lineno, indent + 1, f"field name {fname!r} is a Python keyword")
+    if not fname.isidentifier():
+        raise ParseError(lineno, indent + 1, f"field name {fname!r} is not a Python identifier")
     if not comment:
         raise ParseError(lineno, indent + hash_idx + 1,
                          f"field {fname!r} is missing an explanatory comment")
@@ -289,6 +353,8 @@ def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
     if start < 0:
         raise ParseError(1, 1, "no list literal found")
     pos = _WS_RE.match(text, start + 1).end()
+    # in ASCII text every name _NAME matches is an identifier
+    check_names = not text.isascii()
     instances: list[EntityInstance] = []
     while not text.startswith("]", pos):
         head = _CALL_HEAD_RE.match(text, pos)
@@ -296,6 +362,8 @@ def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
             raise _head_error(text, pos, keyword=False)
         if keyword.iskeyword(head.group(1)):
             raise _error(text, pos, f"class name {head.group(1)!r} is a Python keyword")
+        if check_names and not head.group(1).isidentifier():
+            raise _error(text, pos, f"class name {head.group(1)!r} is not a Python identifier")
         pos = head.end()
         if text.startswith(")", pos):
             raise _error(text, pos, "expected at least one keyword argument")
@@ -307,6 +375,8 @@ def parse_instances(text: str, doc_id: str = "") -> InstanceSet:
             key = kw.group(1)
             if keyword.iskeyword(key):
                 raise _error(text, pos, f"field name {key!r} is a Python keyword")
+            if check_names and not key.isidentifier():
+                raise _error(text, pos, f"field name {key!r} is not a Python identifier")
             if key in assignments:
                 raise _error(text, pos, f"duplicate keyword {key!r}")
             if kw.re is _KW_STRING_RE:
@@ -406,13 +476,13 @@ def print_instances(instance_set: InstanceSet) -> str:
     """
     parts = []
     for inst in instance_set.instances:
-        if not _NAME_RE.fullmatch(inst.class_name) or keyword.iskeyword(inst.class_name):
+        if not _NAME_RE.fullmatch(inst.class_name) or not _is_name(inst.class_name):
             raise ValueError(f"invalid class name {inst.class_name!r}")
         if not inst.assignments:
             raise ValueError(f"instance of {inst.class_name!r} has no assignments")
         kws = []
         for key, value in inst.assignments.items():
-            if not _NAME_RE.fullmatch(key) or keyword.iskeyword(key):
+            if not _NAME_RE.fullmatch(key) or not _is_name(key):
                 raise ValueError(f"invalid field name {key!r}")
             kws.append(f"{key}={_format_value(value)}")
         parts.append(f"{inst.class_name}({', '.join(kws)})")

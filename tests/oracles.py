@@ -153,6 +153,8 @@ def _parse_call(cur: _Cursor) -> EntityInstance:
     cur.expect("(", "'(' after class name")
     if keyword.iskeyword(name):
         raise cur.error(f"class name {name!r} is a Python keyword", at=at)
+    if not name.isidentifier():
+        raise cur.error(f"class name {name!r} is not a Python identifier", at=at)
     assignments: dict[str, str | list[str]] = {}
     cur.skip_ws()
     if cur.peek() == ")":
@@ -187,6 +189,8 @@ def _parse_kw(cur: _Cursor, assignments: dict[str, str | list[str]]) -> None:
     cur.skip_ws()
     if keyword.iskeyword(key):
         raise cur.error(f"field name {key!r} is a Python keyword", at=at)
+    if not key.isidentifier():
+        raise cur.error(f"field name {key!r} is not a Python identifier", at=at)
     if key in assignments:
         raise cur.error(f"duplicate keyword {key!r}", at=at)
     assignments[key] = _parse_value(cur)

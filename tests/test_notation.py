@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annoforge import notation
 from annoforge.notation import (
     TEXT,
     TEXT_LIST,
@@ -159,6 +163,11 @@ def test_comment_may_contain_hash():
      "duplicate class name 'A'", 6),
     ('@dataclass\nclass None:\n    """D."""\n    x: str  # c\n', "class name 'None' is a Python keyword", 2),
     ('@dataclass\nclass A:\n    """D."""\n    from: str  # origin\n', "field name 'from' is a Python keyword", 4),
+    # \w takes U+00B2, which no Python identifier holds
+    ('@dataclass\nclass A\u00b2:\n    """D."""\n    x: str  # c\n',
+     "class name 'A\u00b2' is not a Python identifier", 2),
+    ('@dataclass\nclass A:\n    """D."""\n    x\u00b2: str  # c\n',
+     "field name 'x\u00b2' is not a Python identifier", 4),
 ])
 def test_guideline_errors_are_located(text, fragment, line):
     with pytest.raises(ParseError) as exc:
@@ -249,6 +258,9 @@ def test_equality_ignores_source_info():
     # Python keywords are not names, as in guideline notation
     ('[None(x="a")]', "class name 'None' is a Python keyword"),
     ('[Flight(from="Paris")]', "field name 'from' is a Python keyword"),
+    ('[A\u00b2(x="v")]', "class name 'A\u00b2' is not a Python identifier"),
+    ('[A(x\u00b2="v")]', "field name 'x\u00b2' is not a Python identifier"),
+    ('[A(x\u00b2=["v"])]', "field name 'x\u00b2' is not a Python identifier"),
     # truncated output: the input ends where a keyword or a value should start
     ('[A(x="1", ', "unterminated instance list"),
     ("[A(", "unterminated instance list"),
@@ -286,6 +298,12 @@ def test_print_rejects_unprintable_values():
     with pytest.raises(ValueError, match="invalid field name 'from'"):
         print_instances(InstanceSet(doc_id="d", instances=[
             EntityInstance(class_name="Flight", assignments={"from": "Paris"})]))
+    with pytest.raises(ValueError, match="invalid class name 'A\u00b2'"):
+        print_instances(InstanceSet(doc_id="d", instances=[
+            EntityInstance(class_name="A\u00b2", assignments={"x": "v"})]))
+    with pytest.raises(ValueError, match="invalid field name 'x\u00b2'"):
+        print_instances(InstanceSet(doc_id="d", instances=[
+            EntityInstance(class_name="A", assignments={"x\u00b2": "v"})]))
 
 
 def printable_schema() -> Schema:
@@ -316,6 +334,9 @@ UNPRINTABLE = {
     "class-name-keyword": lambda s: setattr(s.classes[0], "name", "None"),
     "field-name-keyword": lambda s: s.classes[0].fields.append(
         FieldDef(name="from", kind=TEXT, comment="origin")),
+    "class-name-not-python-identifier": lambda s: setattr(s.classes[0], "name", "A\u00b2"),
+    "field-name-not-python-identifier": lambda s: setattr(s.classes[0].fields[0], "name",
+                                                          "x\u00b2"),
 }
 
 
@@ -384,10 +405,13 @@ def instance_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(schemas())
 def test_schema_round_trip_property(schema):
-    text = print_guidelines(schema)
-    assert parse_guidelines(text) == schema
-    # printed text is a fixed point, so a dataset may write back the text it read
-    assert print_guidelines(parse_guidelines(text)) == text
+    # printed text takes the canonical path: the line parser never runs
+    with mock.patch.object(notation, "_parse_lines",
+                           side_effect=AssertionError("printed text reached the line parser")):
+        text = print_guidelines(schema)
+        assert parse_guidelines(text) == schema
+        # printed text is a fixed point, so a dataset may write back the text it read
+        assert print_guidelines(parse_guidelines(text)) == text
 
 
 @settings(max_examples=200, deadline=None)
@@ -408,7 +432,7 @@ LAYOUT = ["", "", "", " ", "  ", "\n", "\t", "\r\n", "\n    "]
 LITERAL_CHARS = "ab \\\n\t\"'\u00e9\r,=)]"
 EDIT_CHARS = list("[]()\"'\\=,") + ["\n", "\t", "\u00e9", "0", "7"]
 literal_bytes = st.binary(min_size=1, max_size=9)
-short_names = st.sampled_from(["A", "Foo", "_k", "x9", "B\u00e9", "name", "from"])
+short_names = st.sampled_from(["A", "Foo", "_k", "x9", "B\u00e9", "x\u00b2", "name", "from"])
 
 
 def string_literal(data: bytes) -> str:
@@ -462,9 +486,9 @@ def notation_texts(draw):
     return text
 
 
-def _outcome(parse, text):
+def _outcome(parse, *args):
     try:
-        return parse(text, doc_id="d")
+        return parse(*args)
     except ParseError as exc:
         return (exc.line, exc.col, exc.message)
 
@@ -472,4 +496,65 @@ def _outcome(parse, text):
 @settings(max_examples=300, deadline=None)
 @given(notation_texts())
 def test_parse_instances_matches_reference_parser(text):
-    assert _outcome(parse_instances, text) == _outcome(oracle_parse_instances, text)
+    assert _outcome(parse_instances, text, "d") == _outcome(oracle_parse_instances, text, "d")
+
+
+# Ways a model's guideline text departs from the canonical layout, each one
+# substitution on one line; some make valid text invalid.
+LINE_EDITS = [
+    (r"$", "\r"),
+    (r"$", " "),
+    (r"^    ", "\t"),
+    (r"^    ", "  "),
+    (r"^", "\n"),
+    (r"^", " \n"),
+    (r"^@dataclass$", "@dataclass(frozen=True)"),
+    (r"^@dataclass$", "@register\n@dataclass"),
+    (r"^@dataclass$", ""),
+    (r"Optional\[(.*)\]", r"Optional[ \1 ]"),
+    (r": ", " : "),
+    (r"  # ", " #"),
+    (r"  # ", "  #  "),
+    (r"  # .*", "  #  "),
+    (r'^    """', '    """"'),
+    (r'"""$', '""""'),
+    (r'^    """.*', '    """ """'),
+    (r"^(class |    )\w+", r"\1from"),
+    (r"^(class |    )\w+", "\\g<0>\u00b2"),
+    (r"^.*$", r"\g<0>\n\g<0>"),
+]
+GUIDELINE_EDIT_CHARS = list('"#:@[] \n\t\rx_') + ["\u00b2", "\u00e9", "\x0c"]
+
+
+def near_canonical(text, picks):
+    """Variants of canonical text: itself, every class twice, each line edit
+    alone and paired with another, and a one-character edit per pick. A pick
+    chooses which line an edit applies to, or where a character goes."""
+    lines = text.split("\n")
+
+    def edit(lines, k, pick):
+        pattern, repl = LINE_EDITS[k % len(LINE_EDITS)]
+        where = [i for i, line in enumerate(lines) if re.search(pattern, line)]
+        if not where:
+            return lines
+        at = where[pick % len(where)]
+        return lines[:at] + [re.sub(pattern, repl, lines[at], count=1)] + lines[at + 1:]
+
+    yield text
+    yield text + "\n" + text
+    for k in range(len(LINE_EDITS)):
+        once = edit(lines, k, picks[0])
+        yield "\n".join(once)
+        yield "\n".join(edit(once, k + picks[1], picks[2]))
+    for pick in picks:
+        at = pick % (len(text) + 1)
+        char = GUIDELINE_EDIT_CHARS[(pick >> 8) % len(GUIDELINE_EDIT_CHARS)]
+        yield text[:at] + char + text[at + pick % 2:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(schemas(), st.lists(st.integers(0, 2**16), min_size=3, max_size=8))
+def test_parse_guidelines_matches_line_parser(schema, picks):
+    for text in near_canonical(print_guidelines(schema), picks):
+        assert _outcome(parse_guidelines, text) == _outcome(notation._parse_lines, text), text
+
