@@ -15,6 +15,7 @@ import hashlib
 import json
 import keyword
 import re
+import unicodedata
 
 from annoforge.notation import EntityInstance, InstanceSet, ParseError
 
@@ -191,7 +192,9 @@ def _parse_kw(cur: _Cursor, assignments: dict[str, str | list[str]]) -> None:
         raise cur.error(f"field name {key!r} is a Python keyword", at=at)
     if not key.isidentifier():
         raise cur.error(f"field name {key!r} is not a Python identifier", at=at)
-    if key in assignments:
+    # Python reads identifiers NFKC-normalized: x\ufb01 and xfi are one name
+    nfkc = lambda name: unicodedata.normalize("NFKC", name)  # noqa: E731
+    if nfkc(key) in map(nfkc, assignments):
         raise cur.error(f"duplicate keyword {key!r}", at=at)
     assignments[key] = _parse_value(cur)
 

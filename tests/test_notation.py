@@ -168,6 +168,11 @@ def test_comment_may_contain_hash():
      "class name 'A\u00b2' is not a Python identifier", 2),
     ('@dataclass\nclass A:\n    """D."""\n    x\u00b2: str  # c\n',
      "field name 'x\u00b2' is not a Python identifier", 4),
+    # Python reads names NFKC-normalized: x\ufb01 (U+FB01) and xfi are one name
+    ('@dataclass\nclass A:\n    """D."""\n    x\ufb01: str  # c\n    xfi: str  # d\n',
+     "duplicate field name 'xfi'", 5),
+    ('@dataclass\nclass Afi:\n    """D."""\n    x: str  # c\n\n@dataclass\nclass A\ufb01:\n'
+     '    """D."""\n    x: str  # c\n', "duplicate class name 'A\ufb01'", 7),
 ])
 def test_guideline_errors_are_located(text, fragment, line):
     with pytest.raises(ParseError) as exc:
@@ -261,6 +266,8 @@ def test_equality_ignores_source_info():
     ('[A\u00b2(x="v")]', "class name 'A\u00b2' is not a Python identifier"),
     ('[A(x\u00b2="v")]', "field name 'x\u00b2' is not a Python identifier"),
     ('[A(x\u00b2=["v"])]', "field name 'x\u00b2' is not a Python identifier"),
+    ('[A(x\ufb01="a", xfi="b")]', "duplicate keyword 'xfi'"),
+    ('[A(xfi=["a"], x\ufb01="b")]', "duplicate keyword 'x\ufb01'"),
     # truncated output: the input ends where a keyword or a value should start
     ('[A(x="1", ', "unterminated instance list"),
     ("[A(", "unterminated instance list"),
@@ -304,6 +311,9 @@ def test_print_rejects_unprintable_values():
     with pytest.raises(ValueError, match="invalid field name 'x\u00b2'"):
         print_instances(InstanceSet(doc_id="d", instances=[
             EntityInstance(class_name="A", assignments={"x\u00b2": "v"})]))
+    with pytest.raises(ValueError, match="repeats a field name under NFKC"):
+        print_instances(InstanceSet(doc_id="d", instances=[
+            EntityInstance(class_name="A", assignments={"x\ufb01": "a", "xfi": "b"})]))
 
 
 def printable_schema() -> Schema:
@@ -337,6 +347,9 @@ UNPRINTABLE = {
     "class-name-not-python-identifier": lambda s: setattr(s.classes[0], "name", "A\u00b2"),
     "field-name-not-python-identifier": lambda s: setattr(s.classes[0].fields[0], "name",
                                                           "x\u00b2"),
+    "field-names-equal-under-nfkc": lambda s: s.classes[0].fields.extend([
+        FieldDef(name="x\ufb01", kind=TEXT, comment="one"),
+        FieldDef(name="xfi", kind=TEXT, comment="the same")]),
 }
 
 
@@ -418,7 +431,15 @@ def test_schema_round_trip_property(schema):
 @given(instance_sets())
 def test_instance_round_trip_property(iset):
     text = print_instances(iset)
-    parsed = parse_instances(text, doc_id="d")
+    tokens = notation._parse_tokens
+
+    def no_escape_reaches_tokens(text, doc_id):
+        # printed text with no escape takes the quote split
+        assert "\\" in text, "printed text reached the token parser"
+        return tokens(text, doc_id)
+
+    with mock.patch.object(notation, "_parse_tokens", no_escape_reaches_tokens):
+        parsed = parse_instances(text, doc_id="d")
     assert parsed == iset
     assert print_instances(parsed) == text
     assert parsed.span == (0, len(text))  # the printed list is the whole text
@@ -432,7 +453,8 @@ LAYOUT = ["", "", "", " ", "  ", "\n", "\t", "\r\n", "\n    "]
 LITERAL_CHARS = "ab \\\n\t\"'\u00e9\r,=)]"
 EDIT_CHARS = list("[]()\"'\\=,") + ["\n", "\t", "\u00e9", "0", "7"]
 literal_bytes = st.binary(min_size=1, max_size=9)
-short_names = st.sampled_from(["A", "Foo", "_k", "x9", "B\u00e9", "x\u00b2", "name", "from"])
+short_names = st.sampled_from(["A", "Foo", "_k", "x9", "B\u00e9", "x\u00b2", "name", "from",
+                               "xfi", "x\ufb01"])
 
 
 def string_literal(data: bytes) -> str:
@@ -558,3 +580,63 @@ def test_parse_guidelines_matches_line_parser(schema, picks):
     for text in near_canonical(print_guidelines(schema), picks):
         assert _outcome(parse_guidelines, text) == _outcome(notation._parse_lines, text), text
 
+
+# Ways a model's instance list departs from the layout print_instances writes,
+# each one substitution at the match a pick chooses; most make the list invalid.
+INSTANCE_EDITS = [
+    (r'="', '="\\\\'),  # a backslash in a value
+    (r'\["', '["\n'),  # a raw newline in a value
+    (r'="', '="\''),  # a single quote in a value
+    (r'=\["[^"]*"', "=['a'"),  # a single-quoted item
+    (r'=(?:"[^"]*"|\[[^\]]*\])', "=[]"),  # an empty list value
+    (r"\)\]$", "), ]"),  # a trailing ", " closing the list
+    (r'"\)', '", )'),  # a trailing ", " closing a call
+    (r", ", ", , "),  # a doubled separator
+    (r", ", ","),  # a removed space
+    (r"\w+=", "from="),  # keyword names and non-ASCII names
+    (r"\w+\(", "None("),
+    (r"\w+=", "x\u00b2="),
+    (r"\w+\(", "B\u00e9("),
+    (r"\w+=", "B\u00e9="),
+    (r"\w+=", "x\ufb01="),
+    (r'\((\w+)(="[^"]*", )\w+=', r"(\1\2\1="),  # a duplicate key
+    (r'\((\w+)(="[^"]*", )\w+=', "(xfi\\2x\ufb01="),  # keys equal under NFKC
+    (r"\]$", "]\n"),  # other layout
+    (r"^\[", "[ "),
+]
+# prose around the list; the last one ends as a list does, after a quote
+INSTANCE_PROSE = [("", ""), ("Sure: ", ""), ('Found "these" \\ here:\n', ""), ("", " Done."),
+                  ("[1] ", ""), ("", '"x")]')]
+
+
+def near_printed(text, picks):
+    """Variants of printed instance text: with prose before or after, each edit
+    alone and paired with another, and a one-character edit per pick."""
+    def edit(text, k, pick):
+        pattern, repl = INSTANCE_EDITS[k % len(INSTANCE_EDITS)]
+        where = list(re.finditer(pattern, text))
+        if not where:
+            return text
+        m = where[pick % len(where)]
+        return text[:m.start()] + m.expand(repl) + text[m.end():]
+
+    for before, after in INSTANCE_PROSE:
+        yield before + text + after
+    for k in range(len(INSTANCE_EDITS)):
+        once = edit(text, k, picks[0])
+        yield once
+        yield edit(once, k + picks[1], picks[2])
+    for pick in picks:
+        at = pick % (len(text) + 1)
+        char = EDIT_CHARS[(pick >> 8) % len(EDIT_CHARS)]
+        yield text[:at] + char + text[at + pick % 2:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_sets(), st.lists(st.integers(0, 2**16), min_size=3, max_size=8))
+def test_parse_instances_fast_path_matches_token_parser(iset, picks):
+    for text in near_printed(print_instances(iset), picks):
+        fast = _outcome(parse_instances, text, "d")
+        tokens = _outcome(notation._parse_tokens, text, "d")
+        assert fast == tokens, text
+        assert getattr(fast, "span", None) == getattr(tokens, "span", None), text
