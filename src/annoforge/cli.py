@@ -1,13 +1,21 @@
 """Command-line entry point: the whole workflow as subcommands.
 
+``main()`` parses the command line and runs one command; the tests call it
+in process. ``run()``, the entry point of ``annoforge`` and of ``python -m
+annoforge.cli``, adds what only a whole process may do: a report that its
+reader cut short exits 141, and the garbage collections at interpreter
+shutdown skip every object the command made.
+
 Exit codes: 0 success; 1 the command ran but produced warnings (dropped
 instances, skipped records, missing prediction files, zero generated
-records); 2 usage or configuration error; 3 runtime failure.
+records); 2 usage or configuration error; 3 runtime failure; 141 the reader
+of stdout closed it before the report was written (``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -16,19 +24,26 @@ import time
 from collections import Counter
 from contextlib import closing, contextmanager
 from dataclasses import asdict
-from datetime import timedelta
 from pathlib import Path
+from typing import TYPE_CHECKING, NoReturn
 
-# every command loads config, jsonl and validation (dataset and evaluation
-# import them), so only these are imported here; each command imports the rest
-from . import jsonl
-from .config import ConfigError, RunConfig, build_client, build_templates, load_config, load_docs
+# Every command loads jsonl and validation (with notation), so only these are
+# imported here; each command imports the rest. The dataset commands load
+# dataset and eval loads evaluation; only a command that reads a config
+# (generate, or --config locating a dataset) loads config, corpus and yaml;
+# generate alone loads the pipeline, the client and datetime.
+from . import ConfigError, jsonl
 from .validation import GROUNDING_POLICIES, MATCHING_MODES
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 log = logging.getLogger("annoforge.cli")  # not __main__ under python -m
 
 
 def _load_cfg(opts: argparse.Namespace) -> RunConfig:
+    from .config import load_config
+
     if opts.config_path is None:
         raise ConfigError("this command needs --config")
     cfg = load_config(opts.config_path)
@@ -67,6 +82,9 @@ def _replacing(out: Path):
 
 def generate(opts: argparse.Namespace) -> int:
     """Run the four-stage pipeline over the corpus and write the dataset."""
+    from datetime import timedelta
+
+    from .config import build_client, build_templates, load_docs
     from .dataset import resume_doc_ids, write_dataset
     from .pipeline import config_meta, run_pipeline
 
@@ -357,7 +375,9 @@ def build_parser(prog: str | None = None) -> argparse.ArgumentParser:
 def main(args: list[str] | None = None, prog_name: str | None = None):
     """Run the command line ``args`` (default: ``sys.argv[1:]``).
 
-    Always ends in ``SystemExit`` with the command's exit code.
+    Ends in ``SystemExit`` with the command's exit code, or in the
+    ``BrokenPipeError`` of an output whose reader closed it, which ``run()``
+    turns into exit 141.
     """
     opts = build_parser(prog_name).parse_args(args)
     logging.basicConfig(level=logging.WARNING if opts.quiet else logging.INFO,
@@ -367,6 +387,8 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
+    except BrokenPipeError:  # an output's reader closed it (the client's are LLMErrors)
+        raise
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         raise SystemExit(3) from exc
@@ -376,5 +398,30 @@ def main(args: list[str] | None = None, prog_name: str | None = None):
     raise SystemExit(code)
 
 
+def run() -> NoReturn:
+    """The process entry point: ``main()``, then two steps that act on the
+    whole process, which is why ``main()`` leaves them out.
+
+    A report cut short by its reader (``annoforge stats ... | head -1``)
+    exits 141, the status a shell gives a writer that SIGPIPE ended, with
+    nothing on stderr: stdout then points at ``os.devnull``, so the flush at
+    exit cannot fail again. And ``gc.freeze()`` moves every object the
+    command made out of the collector's reach, so the full collections that
+    run while the interpreter shuts down skip them. Nothing is left for them
+    to finalize: each command closes what it opens in a ``with`` block.
+    """
+    try:
+        try:
+            main()
+        finally:  # what is still in stdout's buffer meets a closed pipe here
+            sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        raise SystemExit(141) from None
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -33,16 +33,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import ConfigError  # defined in the package root; importable from here too
 from .corpus import Document, load_corpus, sample_corpus
 from .validation import GROUNDING_POLICIES
 
 if TYPE_CHECKING:
     from .llm import LLMClient
     from .pipeline import PromptTemplate
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,7 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from . import jsonl
-from .config import ConfigError
+from . import ConfigError, jsonl
 from .notation import (
     InstanceSet,
     Schema,

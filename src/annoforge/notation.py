@@ -584,14 +584,17 @@ def _unescape(body: str) -> str:
 def print_instances(instance_set: InstanceSet) -> str:
     """Render an InstanceSet in canonical form; parse_instances round-trips it.
 
-    It checks names and values itself, where ``print_guidelines`` parses its
-    text back. A read-back here would take about 0.07 ms per generated record
-    of 2,900 characters, on the quote-split path.
+    It checks names and values itself, each distinct name once per call,
+    where ``print_guidelines`` parses its text back: a printer that parsed its
+    text back and compared was slower than these checks.
     """
     parts = []
+    named = set()  # class and field names that passed one check; a record repeats a few
     for inst in instance_set.instances:
-        if not _NAME_RE.fullmatch(inst.class_name) or not _is_name(inst.class_name):
-            raise ValueError(f"invalid class name {inst.class_name!r}")
+        if inst.class_name not in named:
+            if not _NAME_RE.fullmatch(inst.class_name) or not _is_name(inst.class_name):
+                raise ValueError(f"invalid class name {inst.class_name!r}")
+            named.add(inst.class_name)
         if not inst.assignments:
             raise ValueError(f"instance of {inst.class_name!r} has no assignments")
         if not all(map(str.isascii, inst.assignments)) and (
@@ -599,8 +602,10 @@ def print_instances(instance_set: InstanceSet) -> str:
             raise ValueError(f"instance of {inst.class_name!r} repeats a field name under NFKC")
         kws = []
         for key, value in inst.assignments.items():
-            if not _NAME_RE.fullmatch(key) or not _is_name(key):
-                raise ValueError(f"invalid field name {key!r}")
+            if key not in named:
+                if not _NAME_RE.fullmatch(key) or not _is_name(key):
+                    raise ValueError(f"invalid field name {key!r}")
+                named.add(key)
             kws.append(f"{key}={_format_value(value)}")
         parts.append(f"{inst.class_name}({', '.join(kws)})")
     return "[" + ", ".join(parts) + "]"

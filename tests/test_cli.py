@@ -1,6 +1,7 @@
 """End-to-end command tests against the committed replay fixtures."""
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -300,7 +301,7 @@ def test_failed_write_stops_generate_early(runner, tmp_path, monkeypatch):
     n_docs = 15
     paris_corpus(tmp_path, n_docs)
     client = paris_client(SlowAfterFirst())
-    monkeypatch.setattr("annoforge.cli.build_client", lambda cfg: client)
+    monkeypatch.setattr("annoforge.config.build_client", lambda cfg: client)
 
     def full_disk(records, path, *, append=False):
         next(iter(records))
@@ -459,7 +460,7 @@ def test_a_reply_the_trail_cannot_hold_rejects_only_its_document(runner, tmp_pat
 def test_generate_logs_about_twenty_progress_lines(runner, tmp_path, monkeypatch, caplog):
     paris_corpus(tmp_path, 40)
     client = paris_client()
-    monkeypatch.setattr("annoforge.cli.build_client", lambda cfg: client)
+    monkeypatch.setattr("annoforge.config.build_client", lambda cfg: client)
     with caplog.at_level(logging.INFO, logger="annoforge.cli"):
         result = invoke(runner, "--config", tmp_path / "cfg.yaml",
                         "--output-dir", tmp_path, "generate")
@@ -1237,6 +1238,36 @@ def test_each_input_fault_exits_by_the_rule_and_names_its_input(
         assert fill(named) in result.stderr
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
+def test_no_command_leaves_a_file_for_the_collector(runner, tmp_path):
+    """run() freezes the collector before exit, so the collections at shutdown
+    finalize nothing the command made: with the collector off, every command
+    has closed each file it opened when main() returns, on success and on
+    each input fault above."""
+    rows = [(args, None, None) for args in DATASET_COMMANDS.values()]
+    rows += [(["eval", EVAL_GOLD, EVAL_PRED], None, None),
+             (["--config", str(CONFIG), "--output-dir", "{tmp}/out", "generate"], None, None)]
+    rows += [(args, config, fault) for _, args, config, fault, _, _ in INPUT_FAULTS]
+    gc.collect()
+    gc.disable()
+    try:
+        for i, (args, config, fault) in enumerate(rows):
+            tmp = tmp_path / str(i)
+            tmp.mkdir()
+            path = GOLDEN_DATASET if fault is None else faulty_input(tmp, fault)
+
+            def fill(text: str) -> str:
+                return text.replace("{input}", str(path)).replace("{tmp}", str(tmp))
+
+            if config is not None:
+                (tmp / "cfg.yaml").write_text(fill(config), encoding="utf-8")
+            before = set(os.listdir("/proc/self/fd"))
+            invoke(runner, "--quiet", *map(fill, args))
+            assert set(os.listdir("/proc/self/fd")) == before, (args, fault)
+    finally:
+        gc.enable()
+
+
 # -- misc ---------------------------------------------------------------------
 
 def test_quiet_flag_accepted(runner):
@@ -1393,3 +1424,64 @@ def test_each_offline_command_loads_only_its_modules(tmp_path, args, loaded):
                             timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-2:] == ["0", str(loaded)]
+
+
+def test_analysis_modules_load_no_run_configuration():
+    """Start-up cost: ConfigError lives in the package root, so the modules of
+    the analysis commands load neither config nor corpus."""
+    code = ("import sys, annoforge.cli, annoforge.dataset, annoforge.evaluation\n"
+            "print(sorted(m for m in ('annoforge.config', 'annoforge.corpus') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=cli_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+PROCESS_COMMANDS = {
+    "validate": ["validate", GOLDEN_DATASET, "--out", "filtered.jsonl"],
+    "stats": ["stats", GOLDEN_DATASET],
+    "emit-train": ["emit-train", GOLDEN_DATASET, "--out", "train.jsonl"],
+    "overlap": ["overlap", GOLDEN_DATASET, "--labels", DATA / "labels"],
+    "eval": ["eval", DATA / "eval" / "gold", DATA / "eval" / "pred"],
+}
+
+
+@pytest.mark.parametrize("args", PROCESS_COMMANDS.values(), ids=PROCESS_COMMANDS)
+def test_process_entry_point_matches_main(runner, tmp_path, monkeypatch, args):
+    """``python -m annoforge.cli`` (``run()``) prints, writes and exits exactly
+    as ``main()`` does in process, and ``main()`` leaves the collector unfrozen."""
+    by_process, in_process = tmp_path / "process", tmp_path / "main"
+    by_process.mkdir()
+    in_process.mkdir()
+    proc = subprocess.run([sys.executable, "-m", "annoforge.cli", *map(str, args)],
+                          capture_output=True, env=cli_env(), cwd=by_process, timeout=60)
+    monkeypatch.chdir(in_process)
+    result = invoke(runner, *args)
+    assert gc.get_freeze_count() == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        result.exit_code, result.output.encode(), result.stderr.encode())
+    assert {p.name: p.read_bytes() for p in by_process.iterdir()} == {
+        p.name: p.read_bytes() for p in in_process.iterdir()}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_report_cut_short_by_its_reader_exits_141_quietly(tmp_path, unbuffered):
+    """``annoforge stats ... | head -1``: the report is several times what a
+    pipe holds, so the reader always closes before the writing ends."""
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset([stats_record("doc", [f"LabelNumber{i:05d}" for i in range(4000)])], dataset)
+    env = {key: value for key, value in cli_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open(tmp_path / "stderr", "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "annoforge.cli", "stats", dataset,
+                                 "--top", "4000"], stdout=subprocess.PIPE, stderr=stderr, env=env)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert first == b"documents               1\n"
+    assert code == 141
+    assert (tmp_path / "stderr").read_bytes() == b""

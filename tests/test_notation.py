@@ -311,6 +311,10 @@ def test_print_rejects_unprintable_values():
     with pytest.raises(ValueError, match="invalid field name 'x\u00b2'"):
         print_instances(InstanceSet(doc_id="d", instances=[
             EntityInstance(class_name="A", assignments={"x\u00b2": "v"})]))
+    with pytest.raises(ValueError, match="invalid field name 'x\u00b2'"):  # after a valid A
+        print_instances(InstanceSet(doc_id="d", instances=[
+            EntityInstance(class_name="A", assignments={"x": "1"}),
+            EntityInstance(class_name="A", assignments={"x\u00b2": "2"})]))
     with pytest.raises(ValueError, match="repeats a field name under NFKC"):
         print_instances(InstanceSet(doc_id="d", instances=[
             EntityInstance(class_name="A", assignments={"x\ufb01": "a", "xfi": "b"})]))
