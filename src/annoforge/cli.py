@@ -23,7 +23,6 @@ import sys
 import time
 from collections import Counter
 from contextlib import closing, contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -32,6 +31,13 @@ from typing import TYPE_CHECKING, NoReturn
 # dataset and eval loads evaluation; only a command that reads a config
 # (generate, or --config locating a dataset) loads config, corpus and yaml;
 # generate alone loads the pipeline, the client and datetime.
+# The rule: an analysis command loads no module it does not use. So the
+# records of notation, validation, dataset and evaluation are slotted
+# ``Value`` classes (see the package root), not dataclasses, and no analysis
+# command loads ``dataclasses`` or, through it, ``inspect``; ``fractions``
+# loads only in stats and overlap. pipeline, llm, config and corpus keep
+# ``@dataclass``: only generate and --config load them, generate writes its
+# trail and reject lines with ``asdict``, and the run settings are frozen.
 from . import ConfigError, jsonl
 from .validation import GROUNDING_POLICIES, MATCHING_MODES
 
@@ -82,6 +88,7 @@ def _replacing(out: Path):
 
 def generate(opts: argparse.Namespace) -> int:
     """Run the four-stage pipeline over the corpus and write the dataset."""
+    from dataclasses import asdict
     from datetime import timedelta
 
     from .config import build_client, build_templates, load_docs

@@ -28,12 +28,11 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import ConfigError, jsonl
+from . import ConfigError, Value, jsonl
 from .notation import (
     InstanceSet,
     Schema,
@@ -44,27 +43,39 @@ from .notation import (
 )
 from .validation import GROUNDING_POLICIES, validate
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 log = logging.getLogger(__name__)
 
 FORMAT_NAME = "annoforge-dataset"
 FORMAT_VERSION = 1
 
 
-@dataclass
-class DatasetRecord:
-    """Everything produced for one document, post-validation."""
+class DatasetRecord(Value):
+    """Everything produced for one document, post-validation.
 
-    doc_id: str
-    document: str
-    summary: str
-    structured: list[dict]  # [{"label": ..., "attributes": {...}}, ...]
-    guidelines_text: str  # the raw model output, verbatim
-    schema: Schema | None  # None when read with schema=False
-    instances: InstanceSet  # survivors of validation filtering
-    validation: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-    # (parsed object, its text), for each one read from a file or printed already
-    source: list = field(default_factory=list, compare=False, repr=False)
+    ``source`` is left out of equality and ``repr``."""
+
+    _fields = ("doc_id", "document", "summary", "structured", "guidelines_text", "schema",
+               "instances", "validation", "meta")
+    __slots__ = (*_fields, "source")
+
+    def __init__(self, doc_id: str, document: str, summary: str, structured: list[dict],
+                 guidelines_text: str, schema: Schema | None, instances: InstanceSet,
+                 validation: dict | None = None, meta: dict | None = None,
+                 source: list | None = None) -> None:
+        self.doc_id = doc_id
+        self.document = document
+        self.summary = summary
+        self.structured = structured  # [{"label": ..., "attributes": {...}}, ...]
+        self.guidelines_text = guidelines_text  # the raw model output, verbatim
+        self.schema = schema  # None when read with schema=False
+        self.instances = instances  # survivors of validation filtering
+        self.validation = {} if validation is None else validation
+        self.meta = {} if meta is None else meta
+        # (parsed object, its text), for each one read from a file or printed already
+        self.source = [] if source is None else source
 
     def text_of(self, parsed: Schema | InstanceSet, printer) -> str:
         """The text ``source`` holds for ``parsed``; else ``parsed`` printed."""
@@ -219,16 +230,22 @@ def _records(path: str | Path, decode) -> Iterator[tuple[int, object]]:
     yield from lines
 
 
-@dataclass
-class LabelStats:
+class LabelStats(Value):
     """Label usage summary; averages stay exact until formatted."""
 
-    n_docs: int
-    unique_label_count: int
-    doc_frequency: dict[str, int]         # docs with >= 1 instance of the label
-    annotation_frequency: dict[str, int]  # total instances of the label
-    avg_distinct_labels_per_doc: Fraction
-    avg_annotations_per_doc: Fraction
+    __slots__ = _fields = ("n_docs", "unique_label_count", "doc_frequency",
+                           "annotation_frequency", "avg_distinct_labels_per_doc",
+                           "avg_annotations_per_doc")
+
+    def __init__(self, n_docs: int, unique_label_count: int, doc_frequency: dict[str, int],
+                 annotation_frequency: dict[str, int], avg_distinct_labels_per_doc: Fraction,
+                 avg_annotations_per_doc: Fraction) -> None:
+        self.n_docs = n_docs
+        self.unique_label_count = unique_label_count
+        self.doc_frequency = doc_frequency  # docs with >= 1 instance of the label
+        self.annotation_frequency = annotation_frequency  # total instances of the label
+        self.avg_distinct_labels_per_doc = avg_distinct_labels_per_doc
+        self.avg_annotations_per_doc = avg_annotations_per_doc
 
     def top(self, k: int) -> list[tuple[str, int]]:
         ranked = sorted(self.annotation_frequency.items(),
@@ -253,6 +270,8 @@ class LabelStats:
 
 def compute_stats(records: Iterable[DatasetRecord]) -> LabelStats:
     """Count labels over instances (classes merely declared do not count)."""
+    from fractions import Fraction  # only stats and overlap load it
+
     doc_freq: dict[str, int] = {}
     ann_freq: dict[str, int] = {}
     n = distinct_total = annotation_total = 0
@@ -276,15 +295,19 @@ def compute_stats(records: Iterable[DatasetRecord]) -> LabelStats:
     )
 
 
-@dataclass
-class OverlapResult:
-    benchmark: str
-    split: str
-    gold_label_count: int
-    matched_count: int
-    coverage: Fraction
-    matched: list[str]
-    unmatched: list[str]
+class OverlapResult(Value):
+    __slots__ = _fields = ("benchmark", "split", "gold_label_count", "matched_count",
+                           "coverage", "matched", "unmatched")
+
+    def __init__(self, benchmark: str, split: str, gold_label_count: int, matched_count: int,
+                 coverage: Fraction, matched: list[str], unmatched: list[str]) -> None:
+        self.benchmark = benchmark
+        self.split = split
+        self.gold_label_count = gold_label_count
+        self.matched_count = matched_count
+        self.coverage = coverage
+        self.matched = matched
+        self.unmatched = unmatched
 
 
 AGGREGATE = "aggregate"
@@ -298,6 +321,8 @@ def compute_overlap(dataset_labels: set[str],
     Emits one row per (benchmark, split) plus, per split, an aggregate row
     over the union of that split's gold labels across all benchmarks.
     """
+    from fractions import Fraction
+
     def canon(label: str) -> str:
         label = label.strip()
         return label.casefold() if case_insensitive else label

@@ -27,38 +27,44 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import jsonl
+from . import Value, jsonl
 from .notation import TEXT, InstanceSet, ParseError, Schema, parse_instances
 from .validation import MATCHING_MODES, normalize_span
 
 Mention = tuple[str, str]  # (label, span text)
 
 
-@dataclass
-class GoldExample:
-    example_id: str
-    text: str
-    mentions: list[Mention]
+class GoldExample(Value):
+    __slots__ = _fields = ("example_id", "text", "mentions")
+
+    def __init__(self, example_id: str, text: str, mentions: list[Mention]) -> None:
+        self.example_id = example_id
+        self.text = text
+        self.mentions = mentions
 
 
-@dataclass
-class Prediction:
-    example_id: str
-    mentions: list[Mention]
+class Prediction(Value):
+    __slots__ = _fields = ("example_id", "mentions")
+
+    def __init__(self, example_id: str, mentions: list[Mention]) -> None:
+        self.example_id = example_id
+        self.mentions = mentions
 
 
-@dataclass
-class EvalResult:
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
-    breakdown: dict[str, EvalResult] = field(default_factory=dict)
+class EvalResult(Value):
+    __slots__ = _fields = ("tp", "fp", "fn", "precision", "recall", "f1", "breakdown")
+
+    def __init__(self, tp: int, fp: int, fn: int, precision: float, recall: float, f1: float,
+                 breakdown: dict[str, EvalResult] | None = None) -> None:
+        self.tp = tp
+        self.fp = fp
+        self.fn = fn
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.breakdown = {} if breakdown is None else breakdown
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int,
@@ -68,7 +74,7 @@ class EvalResult:
         f1 = (2 * precision * recall / (precision + recall)
               if precision + recall else 0.0)
         return cls(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall,
-                   f1=f1, breakdown=breakdown or {})
+                   f1=f1, breakdown=breakdown)
 
     def to_dict(self) -> dict:
         out = {"tp": self.tp, "fp": self.fp, "fn": self.fn,

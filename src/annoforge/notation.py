@@ -75,7 +75,8 @@ import functools
 import keyword
 import re
 import unicodedata
-from dataclasses import dataclass, field
+
+from . import Value
 
 TEXT = "text"
 TEXT_LIST = "text_list"
@@ -131,50 +132,64 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-@dataclass
-class FieldDef:
+class FieldDef(Value):
     """One attribute of an entity class: a text or text-list slot plus its comment."""
 
-    name: str
-    kind: str  # TEXT or TEXT_LIST
-    comment: str
-    required: bool = True
+    __slots__ = _fields = ("name", "kind", "comment", "required")
+
+    def __init__(self, name: str, kind: str, comment: str, required: bool = True) -> None:
+        self.name = name
+        self.kind = kind  # TEXT or TEXT_LIST
+        self.comment = comment
+        self.required = required
 
 
-@dataclass
-class EntityClass:
-    name: str
-    guideline: str
-    fields: list[FieldDef]
+class EntityClass(Value):
+    __slots__ = _fields = ("name", "guideline", "fields")
+
+    def __init__(self, name: str, guideline: str, fields: list[FieldDef]) -> None:
+        self.name = name
+        self.guideline = guideline
+        self.fields = fields
 
     def field_map(self) -> dict[str, FieldDef]:
         return {f.name: f for f in self.fields}
 
 
-@dataclass
-class Schema:
+class Schema(Value):
     """Ordered entity classes parsed from one guideline text."""
 
-    classes: list[EntityClass]
+    __slots__ = _fields = ("classes",)
+
+    def __init__(self, classes: list[EntityClass]) -> None:
+        self.classes = classes
 
     def class_map(self) -> dict[str, EntityClass]:
         return {c.name: c for c in self.classes}
 
 
-@dataclass
-class EntityInstance:
-    class_name: str
-    assignments: dict[str, str | list[str]]
+class EntityInstance(Value):
+    __slots__ = _fields = ("class_name", "assignments")
+
+    def __init__(self, class_name: str, assignments: dict[str, str | list[str]]) -> None:
+        self.class_name = class_name
+        self.assignments = assignments
 
 
-@dataclass
-class InstanceSet:
-    """Ordered instances parsed from one list literal, tied to a document."""
+class InstanceSet(Value):
+    """Ordered instances parsed from one list literal, tied to a document.
 
-    doc_id: str
-    instances: list[EntityInstance]
-    # where the list literal sat in the parsed text, as (start, end) offsets
-    span: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    ``span`` is left out of equality and ``repr``."""
+
+    _fields = ("doc_id", "instances")
+    __slots__ = (*_fields, "span")
+
+    def __init__(self, doc_id: str, instances: list[EntityInstance],
+                 span: tuple[int, int] | None = None) -> None:
+        self.doc_id = doc_id
+        self.instances = instances
+        # where the list literal sat in the parsed text, as (start, end) offsets
+        self.span = span
 
 
 def _indent_width(line: str) -> int:

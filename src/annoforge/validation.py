@@ -25,8 +25,8 @@ its own, with no context, so folding both sides keeps one inside the other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from . import Value
 from .notation import TEXT, TEXT_LIST, InstanceSet, Schema
 
 GROUNDING_POLICIES = ("exact", "normalized", "off")
@@ -45,14 +45,17 @@ class ErrorCode(str, enum.Enum):
         return self.value
 
 
-@dataclass
-class ValidationError:
-    code: ErrorCode
-    doc_id: str
-    instance_index: int
-    class_name: str
-    field: str | None
-    message: str
+class ValidationError(Value):
+    __slots__ = _fields = ("code", "doc_id", "instance_index", "class_name", "field", "message")
+
+    def __init__(self, code: ErrorCode, doc_id: str, instance_index: int, class_name: str,
+                 field: str | None, message: str) -> None:
+        self.code = code
+        self.doc_id = doc_id
+        self.instance_index = instance_index
+        self.class_name = class_name
+        self.field = field
+        self.message = message
 
 
 def normalize_span(text: str) -> str:

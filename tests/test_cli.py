@@ -1403,22 +1403,23 @@ try:
 except SystemExit as exc:
     print(exc.code)
 watched = ("click", "annoforge.dataset", "annoforge.evaluation", "annoforge.pipeline",
-           "annoforge.llm", "yaml", "http.client")
+           "annoforge.llm", "yaml", "http.client", "dataclasses", "inspect", "fractions")
 print(sorted(name for name in watched if name in sys.modules))
 """
 
 
 @pytest.mark.parametrize("args, loaded", [
     (["validate", GOLDEN_DATASET, "--out", "filtered.jsonl"], ["annoforge.dataset"]),
-    (["stats", GOLDEN_DATASET], ["annoforge.dataset"]),
+    (["stats", GOLDEN_DATASET], ["annoforge.dataset", "fractions"]),
     (["emit-train", GOLDEN_DATASET, "--out", "train.jsonl"], ["annoforge.dataset"]),
-    (["overlap", GOLDEN_DATASET, "--labels", DATA / "labels"], ["annoforge.dataset"]),
+    (["overlap", GOLDEN_DATASET, "--labels", DATA / "labels"], ["annoforge.dataset", "fractions"]),
     (["eval", DATA / "eval" / "gold", DATA / "eval" / "pred"], ["annoforge.evaluation"]),
 ], ids=["validate", "stats", "emit-train", "overlap", "eval"])
 def test_each_offline_command_loads_only_its_modules(tmp_path, args, loaded):
     """Start-up cost, command by command in a fresh interpreter: no command
     loads click, the dataset commands do not load evaluation, eval does not
-    load dataset, and none loads the pipeline, the client, yaml or http.client."""
+    load dataset, and none loads the pipeline, the client, yaml, http.client,
+    dataclasses or inspect; only stats and overlap load fractions."""
     result = subprocess.run([sys.executable, "-c", COMMAND_RUN, *map(str, args)],
                             capture_output=True, text=True, env=cli_env(), cwd=tmp_path,
                             timeout=60)
