@@ -18,6 +18,20 @@ written with that text while it holds the objects parsed from it; a
 A new object (``validate`` dropped an instance), any other record built in
 memory, or an instance list with prose around it is printed instead.
 
+A record may hold ``offsets``, a list with one int per span value of its
+instance list (instance, keyword, then list-element order): the code-point
+index in ``document`` where that span occurs verbatim, or -1 where it does
+not (a span grounded only after normalization). ``generate`` writes the
+first occurrence under ``exact`` and ``normalized``, and no offsets under
+``off``. They are a search hint, no more: ``validation.validate`` tests each
+span at its offset and searches the document only where it is not there, so
+an offset can never change a verdict. ``validate`` writes back the offsets of
+the instances it keeps, refreshed, but never adds the field to a record
+without it (a record without offsets is validated with no offset
+bookkeeping), and drops it under ``--grounding off``. A record without the
+key has no hints; a value that is not a list of ints of at least -1 is a
+corrupt record. The field is additive, so the format version stays 1.
+
 Label statistics use exact rational arithmetic internally and round only
 when formatted. Overlap analysis compares dataset labels against benchmark
 label spaces verbatim after trimming whitespace (case folding is opt-in).
@@ -86,7 +100,7 @@ class DatasetRecord(Value):
 
 
 def record_to_dict(record: DatasetRecord) -> dict:
-    return {
+    data = {
         "doc_id": record.doc_id,
         "document": record.document,
         "summary": record.summary,
@@ -97,6 +111,9 @@ def record_to_dict(record: DatasetRecord) -> dict:
         "validation": record.validation,
         "meta": record.meta,
     }
+    if record.instances.offsets is not None:
+        data["offsets"] = record.instances.offsets
+    return data
 
 
 def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
@@ -105,6 +122,10 @@ def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
     doc_id = data["doc_id"]
     if not isinstance(data["document"], str):
         raise TypeError(f"document is {type(data['document']).__name__}, not a string")
+    offsets = data.get("offsets")
+    if "offsets" in data and not (type(offsets) is list and all(
+            type(at) is int and at >= -1 for at in offsets)):
+        raise TypeError("offsets is not a list of integers of at least -1")
     for key in ("validation", "meta"):
         if not isinstance(data.get(key, {}), dict):
             raise TypeError(f"{key} is {type(data[key]).__name__}, not an object")
@@ -124,6 +145,7 @@ def record_from_dict(data: dict, *, schema: bool = True) -> DatasetRecord:
         validation=data.get("validation", {}),
         meta=data.get("meta", {}),
     )
+    record.instances.offsets = offsets
     record.source = [(record.schema, data["schema"])] if schema else []
     if record.instances.span == (0, len(data["instances"])):  # no prose around the list
         record.source.append((record.instances, data["instances"]))

@@ -179,17 +179,21 @@ class EntityInstance(Value):
 class InstanceSet(Value):
     """Ordered instances parsed from one list literal, tied to a document.
 
-    ``span`` is left out of equality and ``repr``."""
+    ``span`` and ``offsets`` are left out of equality and ``repr``."""
 
     _fields = ("doc_id", "instances")
-    __slots__ = (*_fields, "span")
+    __slots__ = (*_fields, "span", "offsets")
 
     def __init__(self, doc_id: str, instances: list[EntityInstance],
-                 span: tuple[int, int] | None = None) -> None:
+                 span: tuple[int, int] | None = None,
+                 offsets: list[int] | None = None) -> None:
         self.doc_id = doc_id
         self.instances = instances
         # where the list literal sat in the parsed text, as (start, end) offsets
         self.span = span
+        # where each span value occurs verbatim in the document, or -1; a hint
+        # that ``validation.validate`` checks before use, None when there is none
+        self.offsets = offsets
 
 
 def _indent_width(line: str) -> int:

@@ -333,6 +333,7 @@ def run_pipeline(docs: Iterable[Document], templates: dict[str, PromptTemplate],
         except StageError as exc:
             return None, RejectEntry(doc_id=doc.doc_id, stage=exc.stage,
                                      reason=exc.reason), trail
+        raw_instances.offsets = []  # no hints: validate records where it finds each span
         kept, errors = filter_instances(raw_instances, schema, doc.text,
                                         grounding=grounding)
         if not kept.instances and not keep_empty:

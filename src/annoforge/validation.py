@@ -20,6 +20,18 @@ Collapsing whitespace keeps the substring's words in order, one space apart;
 only the two words it cuts at its ends are shorter than the document's, and
 each still ends or starts its own. ``casefold`` then maps each character on
 its own, with no context, so folding both sides keeps one inside the other.
+
+An ``InstanceSet`` may carry ``offsets``: one entry per span value, in
+instance, keyword and list-element order, each the code-point index in the
+document where that span occurs verbatim, or -1. ``validate`` tests each span
+at its entry with ``document.startswith`` and searches the document only
+where that fails (a list of another length gives no hints). An offset is
+checked before it is used, so it can only spare a search: a right, stale or
+missing offset gives the same errors. ``validate`` then sets the offsets to
+what it found, the first occurrence for a span it searched, and
+``filter_instances`` keeps the entries of the surviving instances. A set
+without offsets gets none, and takes the loop with no offset bookkeeping.
+Under ``off`` nothing is searched, so the offsets become None.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from __future__ import annotations
 import enum
 
 from . import Value
-from .notation import TEXT, TEXT_LIST, InstanceSet, Schema
+from .notation import TEXT, TEXT_LIST, EntityInstance, InstanceSet, Schema
 
 GROUNDING_POLICIES = ("exact", "normalized", "off")
 MATCHING_MODES = ("exact", "normalized")  # how ``eval`` compares span text
@@ -72,11 +84,18 @@ def validate(instance_set: InstanceSet, schema: Schema, document: str,
     verbatim is grounded under either policy; only under ``normalized``, and
     only for a span that does not, is the document normalized, at most once
     per call (the module docstring says why this gives the same verdicts).
+    A set with ``offsets`` has them checked and replaced (module docstring).
     """
     if grounding not in GROUNDING_POLICIES:
         raise ValueError(f"unknown grounding policy {grounding!r}")
     classes = schema.class_map()
     norm_doc = None  # the normalized document, made at the first span it is needed for
+    verbatim = document  # ``span in verbatim``: does the span occur verbatim?
+    if instance_set.offsets is not None:
+        if grounding == "off":
+            instance_set.offsets = None  # nothing is searched, so no offset is known
+        else:
+            verbatim = _locate(instance_set, document)
     errors: list[ValidationError] = []
 
     def add(code: ErrorCode, index: int, cname: str, fname: str | None, msg: str) -> None:
@@ -110,7 +129,7 @@ def validate(instance_set: InstanceSet, schema: Schema, document: str,
             if grounding == "off":
                 continue
             for span in spans:
-                if span in document:
+                if span in verbatim:
                     continue
                 if grounding == "normalized":
                     if norm_doc is None:
@@ -127,15 +146,45 @@ def validate(instance_set: InstanceSet, schema: Schema, document: str,
     return errors
 
 
+def _spans(inst: EntityInstance) -> list[str]:
+    """The instance's span values, in keyword and list-element order."""
+    return [span for value in inst.assignments.values()
+            for span in (value if isinstance(value, list) else (value,))]
+
+
+def _locate(instance_set: InstanceSet, document: str) -> set[str]:
+    """The spans of ``instance_set`` that occur verbatim in ``document``.
+
+    Each span is tested at its offset and searched for only where it is not
+    there; the offsets are then replaced by what was found."""
+    spans = [span for inst in instance_set.instances for span in _spans(inst)]
+    hints = instance_set.offsets
+    if len(hints) != len(spans):
+        hints = [-1] * len(spans)
+    offsets = [at if at >= 0 and document.startswith(span, at) else document.find(span)
+               for span, at in zip(spans, hints)]
+    instance_set.offsets = offsets
+    return {span for span, at in zip(spans, offsets) if at >= 0}
+
+
 def filter_instances(instance_set: InstanceSet, schema: Schema, document: str,
                      grounding: str = "normalized"
                      ) -> tuple[InstanceSet, list[ValidationError]]:
     """Drop every instance with at least one violation.
 
-    Returns the surviving instances (original order) plus all errors found.
-    The survivors always re-validate cleanly under the same policy.
+    Returns the surviving instances (original order), with the offsets
+    ``validate`` left for them, plus all errors found. The survivors always
+    re-validate cleanly under the same policy.
     """
     errors = validate(instance_set, schema, document, grounding=grounding)
     flagged = {e.instance_index for e in errors}
     kept = [inst for i, inst in enumerate(instance_set.instances) if i not in flagged]
-    return InstanceSet(doc_id=instance_set.doc_id, instances=kept), errors
+    offsets = instance_set.offsets
+    if offsets is not None and flagged:
+        offsets, pos = [], 0
+        for i, inst in enumerate(instance_set.instances):
+            end = pos + len(_spans(inst))
+            if i not in flagged:
+                offsets += instance_set.offsets[pos:end]
+            pos = end
+    return InstanceSet(doc_id=instance_set.doc_id, instances=kept, offsets=offsets), errors

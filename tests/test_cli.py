@@ -19,8 +19,9 @@ import annoforge
 import annoforge.dataset
 from annoforge.cli import build_parser, main
 from annoforge.dataset import write_dataset
+from annoforge.jsonl import dumps
 from annoforge.llm import ChatRequest, GenerationParams, ReplayCache
-from annoforge.notation import EntityInstance, print_instances
+from annoforge.notation import EntityInstance, parse_instances, print_instances
 from annoforge.pipeline import PromptTemplate, default_templates
 from builders import make_records, paris_client, stats_record
 from chatserver import completion
@@ -603,6 +604,104 @@ def test_validate_in_place_keeps_every_record(runner, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["apart.jsonl", "ip.jsonl"]
 
 
+# Each record holds ``offsets``, where each span of its instance list occurs
+# verbatim: a hint that spares a search only where it holds.
+
+class SearchCounting(str):
+    """A document that records each span searched for in it."""
+
+    def __contains__(self, span):
+        self.searches.append(span)
+        return super().__contains__(span)
+
+    def find(self, span, *args):
+        self.searches.append(span)
+        return super().find(span, *args)
+
+
+def counted_searches(monkeypatch) -> list[str]:
+    """Every span searched for in a document that ``annoforge.dataset`` reads."""
+    searches = []
+    read = annoforge.dataset.record_from_dict
+
+    def reading(data, **kwargs):
+        record = read(data, **kwargs)
+        record.document = SearchCounting(record.document)
+        record.document.searches = searches
+        return record
+
+    monkeypatch.setattr(annoforge.dataset, "record_from_dict", reading)
+    return searches
+
+
+def golden_record(lineno: int) -> tuple[dict, list[str]]:
+    """The golden dataset's record on ``lineno`` and its span values in order."""
+    record = json.loads(GOLDEN_DATASET.read_text(encoding="utf-8").splitlines()[lineno - 1])
+    spans = [span for inst in parse_instances(record["instances"]).instances
+             for value in inst.assignments.values()
+             for span in (value if isinstance(value, list) else [value])]
+    return record, spans
+
+
+def test_offsets_that_hold_spare_every_search(runner, tmp_path, monkeypatch):
+    searches = counted_searches(monkeypatch)
+    record, spans = golden_record(3)
+    stale = edited_dataset(tmp_path, 3, lambda data: data["offsets"].__setitem__(
+        1, data["offsets"][1] + 1))
+    for dataset, searched in [(GOLDEN_DATASET, []), (stale, [spans[1]])]:
+        for command in ("validate", "emit-train"):
+            out = tmp_path / f"{command}.jsonl"
+            result = invoke(runner, command, dataset, "--out", out)
+            assert result.exit_code == 0, result.stderr
+            assert searches == searched, (dataset, command)
+            searches.clear()
+        # validate writes the offsets back, the stale one found again
+        assert json.loads((tmp_path / "validate.jsonl").read_text(
+            encoding="utf-8").splitlines()[2])["offsets"] == record["offsets"]
+
+
+def test_offsets_of_another_length_are_searched_again(runner, tmp_path, monkeypatch):
+    record, spans = golden_record(3)
+    dataset = edited_dataset(tmp_path, 3, lambda data: data["offsets"].pop())
+    searches = counted_searches(monkeypatch)
+    out = tmp_path / "out.jsonl"
+    result = invoke(runner, "validate", dataset, "--out", out)
+    assert result.exit_code == 0, result.stderr
+    assert searches == spans
+    assert json.loads(out.read_text(encoding="utf-8").splitlines()[2])["offsets"] \
+        == record["offsets"]
+
+
+def test_validate_adds_no_offsets_to_a_record_without_them(runner, tmp_path):
+    header, *lines = GOLDEN_DATASET.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        del record["offsets"]
+    dataset, out = tmp_path / "dataset.jsonl", tmp_path / "out.jsonl"
+    dataset.write_text(header + "\n" + "".join(map(dumps, records)), encoding="utf-8")
+    result = invoke(runner, "validate", dataset, "--out", out)
+    assert result.exit_code == 0, result.stderr
+    # each record as it was read, with the new verdict
+    assert out.read_text(encoding="utf-8") == header + "\n" + "".join(
+        dumps({**record, "validation": {**record["validation"], "revalidated": "normalized"}})
+        for record in records)
+
+
+def test_grounding_off_writes_no_offsets(runner, tmp_path):
+    config = tmp_path / "off.yaml"
+    config.write_text(f"corpus: {DATA / 'docs.jsonl'}\n"
+                      f"client: {{backend: replay, cache: {DATA / 'cache.jsonl'}, "
+                      "model: fixture}\npipeline: {grounding: 'off'}\n", encoding="utf-8")
+    result = invoke(runner, "--config", config, "--output-dir", tmp_path / "gen", "generate")
+    assert result.exit_code == 0, result.output + result.stderr
+    out = tmp_path / "off.jsonl"
+    result = invoke(runner, "validate", GOLDEN_DATASET, "--grounding", "off", "--out", out)
+    assert result.exit_code == 0, result.stderr
+    for dataset in (tmp_path / "gen" / "dataset.jsonl", out):
+        records = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 6 and not any("offsets" in record for record in records)
+
+
 @pytest.mark.parametrize("command", ["validate", "emit-train"])
 def test_failed_run_leaves_the_previous_output(runner, tmp_path, command):
     """Records 1-2 stream out before line 4 fails; the old output must survive."""
@@ -1108,6 +1207,10 @@ RECORD_FAULTS = {
     "meta-list": (2, lambda record: record.update(meta=[])),
     "grounding-unknown": (2, lambda record: record["meta"].update(grounding="fuzzy")),
     "validation-list": (3, lambda record: record.update(validation=[])),
+    "offsets-string": (2, lambda record: record.update(offsets="0 69")),
+    "offsets-float": (2, lambda record: record["offsets"].__setitem__(1, 69.0)),
+    "offsets-true": (2, lambda record: record["offsets"].__setitem__(0, True)),
+    "offsets-minus-two": (3, lambda record: record["offsets"].__setitem__(0, -2)),
 }
 # (gold mention, predicted mention) of one example whose text is "x 5"
 EVAL_FAULTS = {

@@ -326,6 +326,28 @@ def test_run_pipeline_filters_and_rejects_vacuous_docs():
     assert kept[0].validation["raw_count"] == 1
 
 
+@pytest.mark.parametrize("grounding, kept", [
+    ("exact", ["PyTorch", "Meta"]),
+    ("normalized", ["PyTorch", "Meta", "TENSORFLOW"]),
+    ("off", ["Keras", "Google", "PyTorch", "Meta", "TENSORFLOW"]),
+])
+def test_run_pipeline_records_where_it_found_each_kept_span(grounding, kept):
+    client = scripted_for()
+    client.rules = [(n, r) for n, r in client.rules if r.text != INSTANCE_TEXT]
+    client.add((INSTANCES, "TensorFlow was developed"),
+               '[Framework(name="Keras", developer="Google"), '
+               'Framework(name="PyTorch", developer="Meta"), Framework(name="TENSORFLOW")]')
+    (record,), _, _ = collect(run_pipeline([DOC], default_templates(), client,
+                                           grounding=grounding))
+    assert [value for inst in record.instances.instances
+            for value in inst.assignments.values()] == kept
+    if grounding == "off":  # nothing was searched, so no offset is known
+        assert record.instances.offsets is None
+        assert "offsets" not in record_to_dict(record)
+    else:  # the first occurrence, or -1 for a span grounded only after normalization
+        assert record_to_dict(record)["offsets"] == [DOC.text.find(span) for span in kept]
+
+
 def test_run_pipeline_stage_failure_names_stage():
     client = scripted_for()
     client.add((SUMMARIZE, "Paris hosted"), "- Paris: a city")

@@ -156,19 +156,78 @@ def grounding_cases(draw):
     return document, spans
 
 
+SPAN_SCHEMA = parse_guidelines('@dataclass\nclass Span:\n    """A span."""\n'
+                               "    value: str  # the text\n")
+
+
+def span_set(spans, offsets=None):
+    return InstanceSet(doc_id="d", instances=[EntityInstance("Span", {"value": span})
+                                              for span in spans], offsets=offsets)
+
+
 @settings(max_examples=300, deadline=None)
 @given(grounding_cases())
 def test_validate_flags_exactly_the_spans_the_definition_calls_ungrounded(case):
     document, spans = case
-    schema = parse_guidelines('@dataclass\nclass Span:\n    """A span."""\n'
-                              "    value: str  # the text\n")
-    iset = InstanceSet(doc_id="d", instances=[EntityInstance("Span", {"value": span})
-                                              for span in spans])
+    iset = span_set(spans)
     for policy in GROUNDING_POLICIES:
-        flagged = {e.instance_index for e in validate(iset, schema, document, policy)
+        flagged = {e.instance_index for e in validate(iset, SPAN_SCHEMA, document, policy)
                    if e.code == ErrorCode.UNGROUNDED_SPAN}
         assert flagged == {i for i, span in enumerate(spans)
                            if span.strip() and not oracle_grounded(span, document, policy)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(grounding_cases(), st.data())
+def test_offsets_never_change_a_verdict(case, data):
+    """No, right and bad offsets give the same errors; each offset left on the
+    set is -1 exactly when its span is not a verbatim substring."""
+    document, spans = case
+    right = [document.find(span) for span in spans]
+    # negative, past the end or off by one, entry by entry
+    bad = [data.draw(st.sampled_from([-1, -2, len(document) + 1, at - 1, at + 1]))
+           for at in right]
+    wrong_length = data.draw(st.sampled_from([[], right[:-1], right + [0]]))
+    for policy in GROUNDING_POLICIES:
+        expected = validate(span_set(spans), SPAN_SCHEMA, document, policy)
+        for hints in (right, bad, wrong_length):
+            iset = span_set(spans, offsets=list(hints))
+            assert validate(iset, SPAN_SCHEMA, document, policy) == expected
+            if policy == "off":
+                assert iset.offsets is None
+                continue
+            assert len(iset.offsets) == len(spans)
+            for span, at in zip(spans, iset.offsets):
+                if span in document:
+                    assert at >= 0 and document.startswith(span, at)
+                else:
+                    assert at == -1
+            kept, _ = filter_instances(span_set(spans, list(hints)), SPAN_SCHEMA,
+                                       document, policy)
+            flagged = {e.instance_index for e in expected}
+            assert kept.offsets == [at for i, at in enumerate(iset.offsets)
+                                    if i not in flagged]
+
+
+def test_filter_keeps_the_offsets_of_the_kept_instances():
+    iset = parse_instances('[Framework(name="PyTorch", aliases=["torch", "Keras"]), '
+                           'Framework(name="TensorFlow", developer="Google"), '
+                           'Dataset(name="ImageNet")]', doc_id="d1")
+    iset.offsets = []  # no hints
+    kept, errors = filter_instances(iset, SCHEMA, DOC)
+    assert codes(errors) == [ErrorCode.UNGROUNDED_SPAN]
+    assert iset.offsets == [DOC.find("PyTorch"), DOC.find("torch"), -1, 0,
+                            DOC.find("Google"), DOC.find("ImageNet")]
+    assert kept.offsets == iset.offsets[3:]
+    assert validate(kept, SCHEMA, DOC) == []
+
+
+def test_a_set_without_offsets_gets_none():
+    iset = parse_instances('[Framework(name="TensorFlow"), Dataset(name="Imaginary")]',
+                           doc_id="d1")
+    for policy in GROUNDING_POLICIES:
+        kept, _ = filter_instances(iset, SCHEMA, DOC, policy)
+        assert iset.offsets is kept.offsets is None
 
 
 def test_normalized_grounding_normalizes_the_document_only_for_a_span_not_verbatim(monkeypatch):

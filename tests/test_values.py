@@ -22,7 +22,7 @@ from annoforge.notation import (
 from annoforge.validation import ErrorCode, ValidationError
 
 # left out of equality and repr
-IGNORED = {"span", "source"}
+IGNORED = {"span", "offsets", "source"}
 
 
 def _film() -> EntityClass:
@@ -43,7 +43,7 @@ CASES = [
     (Schema, lambda: {"classes": [_film()]}, {}),
     (EntityInstance, lambda: {"class_name": "Film", "assignments": {"title": "Up"}}, {}),
     (InstanceSet, lambda: {"doc_id": "d1", "instances": [EntityInstance("Film", {"title": "Up"})],
-                           "span": (3, 25)}, {"span": None}),
+                           "span": (3, 25), "offsets": [0]}, {"span": None, "offsets": None}),
     (ValidationError, lambda: {"code": ErrorCode.UNGROUNDED_SPAN, "doc_id": "d1",
                                "instance_index": 0, "class_name": "Film", "field": "title",
                                "message": "not in the document"}, {}),
@@ -72,8 +72,9 @@ CASES = [
 @pytest.mark.parametrize("cls, fields, defaults", CASES, ids=[case[0].__name__ for case in CASES])
 def test_value_class_contract(cls, fields, defaults):
     """Keyword and positional construction agree; equality is field by field,
-    within one class, and ignores ``span`` and ``source``, as ``repr`` does;
-    instances are mutable and unhashable; each default is a fresh object."""
+    within one class, and ignores ``span``, ``offsets`` and ``source``, as
+    ``repr`` does; instances are mutable and unhashable; each default is a
+    fresh object."""
     record = cls(**fields())
     assert record == cls(*fields().values())
     shown = {name: value for name, value in fields().items() if name not in IGNORED}
