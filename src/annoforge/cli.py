@@ -33,11 +33,13 @@ from typing import TYPE_CHECKING, NoReturn
 # generate alone loads the pipeline, the client and datetime.
 # The rule: an analysis command loads no module it does not use. So the
 # records of notation, validation, dataset and evaluation are slotted
-# ``Value`` classes (see the package root), not dataclasses, and no analysis
-# command loads ``dataclasses`` or, through it, ``inspect``; ``fractions``
-# loads only in stats and overlap. pipeline, llm, config and corpus keep
-# ``@dataclass``: only generate and --config load them, generate writes its
-# trail and reject lines with ``asdict``, and the run settings are frozen.
+# ``Value`` classes (see the package root), not dataclasses: each states its
+# fields once, in ``__slots__``, and ``Value`` compiles its ``__init__`` from
+# them as ``dataclasses`` would. No analysis command loads ``dataclasses``
+# or, through it, ``inspect``; ``fractions`` loads only in stats and overlap.
+# pipeline, llm, config and corpus keep ``@dataclass``: only generate and
+# --config load them, generate writes its trail and reject lines with
+# ``asdict``, and the run settings are frozen.
 from . import ConfigError, jsonl
 from .validation import GROUNDING_POLICIES, MATCHING_MODES
 

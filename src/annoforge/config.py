@@ -2,7 +2,9 @@
 
 Paths inside the file are resolved relative to the file itself, so a config
 can travel with its fixtures. Credentials are deliberately not accepted
-here; the API key comes from the environment only.
+here; the API key comes from the environment only. YAML 1.1 reads an
+unquoted ``off`` (or ``false`` or ``no``) as false, so a false ``grounding``
+means ``off``.
 
 Layout::
 
@@ -194,6 +196,8 @@ def load_config(path: str | Path) -> RunConfig:
 
     pipeline = _section(raw, "pipeline", _PIPELINE_KEYS)
     cfg.grounding = pipeline.get("grounding", cfg.grounding)
+    if cfg.grounding is False:  # what YAML makes of an unquoted off
+        cfg.grounding = "off"
     if cfg.grounding not in GROUNDING_POLICIES:
         raise ConfigError(f"unknown grounding policy {cfg.grounding!r}")
     cfg.keep_empty = pipeline.get("keep_empty", cfg.keep_empty)

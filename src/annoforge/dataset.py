@@ -44,7 +44,6 @@ import logging
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import ConfigError, Value, jsonl
 from .notation import (
@@ -57,9 +56,6 @@ from .notation import (
 )
 from .validation import GROUNDING_POLICIES, validate
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 log = logging.getLogger(__name__)
 
 FORMAT_NAME = "annoforge-dataset"
@@ -71,25 +67,15 @@ class DatasetRecord(Value):
 
     ``source`` is left out of equality and ``repr``."""
 
-    _fields = ("doc_id", "document", "summary", "structured", "guidelines_text", "schema",
-               "instances", "validation", "meta")
+    _fields = ("doc_id", "document", "summary",
+               "structured",  # [{"label": ..., "attributes": {...}}, ...]
+               "guidelines_text",  # the raw model output, verbatim
+               "schema",  # None when read with schema=False
+               "instances",  # survivors of validation filtering
+               "validation", "meta")
+    # (parsed object, its text), for each one read from a file or printed already
     __slots__ = (*_fields, "source")
-
-    def __init__(self, doc_id: str, document: str, summary: str, structured: list[dict],
-                 guidelines_text: str, schema: Schema | None, instances: InstanceSet,
-                 validation: dict | None = None, meta: dict | None = None,
-                 source: list | None = None) -> None:
-        self.doc_id = doc_id
-        self.document = document
-        self.summary = summary
-        self.structured = structured  # [{"label": ..., "attributes": {...}}, ...]
-        self.guidelines_text = guidelines_text  # the raw model output, verbatim
-        self.schema = schema  # None when read with schema=False
-        self.instances = instances  # survivors of validation filtering
-        self.validation = {} if validation is None else validation
-        self.meta = {} if meta is None else meta
-        # (parsed object, its text), for each one read from a file or printed already
-        self.source = [] if source is None else source
+    _defaults = {"validation": dict, "meta": dict, "source": list}
 
     def text_of(self, parsed: Schema | InstanceSet, printer) -> str:
         """The text ``source`` holds for ``parsed``; else ``parsed`` printed."""
@@ -255,19 +241,10 @@ def _records(path: str | Path, decode) -> Iterator[tuple[int, object]]:
 class LabelStats(Value):
     """Label usage summary; averages stay exact until formatted."""
 
-    __slots__ = _fields = ("n_docs", "unique_label_count", "doc_frequency",
-                           "annotation_frequency", "avg_distinct_labels_per_doc",
-                           "avg_annotations_per_doc")
-
-    def __init__(self, n_docs: int, unique_label_count: int, doc_frequency: dict[str, int],
-                 annotation_frequency: dict[str, int], avg_distinct_labels_per_doc: Fraction,
-                 avg_annotations_per_doc: Fraction) -> None:
-        self.n_docs = n_docs
-        self.unique_label_count = unique_label_count
-        self.doc_frequency = doc_frequency  # docs with >= 1 instance of the label
-        self.annotation_frequency = annotation_frequency  # total instances of the label
-        self.avg_distinct_labels_per_doc = avg_distinct_labels_per_doc
-        self.avg_annotations_per_doc = avg_annotations_per_doc
+    __slots__ = _fields = ("n_docs", "unique_label_count",
+                           "doc_frequency",  # docs with >= 1 instance of the label
+                           "annotation_frequency",  # total instances of the label
+                           "avg_distinct_labels_per_doc", "avg_annotations_per_doc")
 
     def top(self, k: int) -> list[tuple[str, int]]:
         ranked = sorted(self.annotation_frequency.items(),
@@ -320,16 +297,6 @@ def compute_stats(records: Iterable[DatasetRecord]) -> LabelStats:
 class OverlapResult(Value):
     __slots__ = _fields = ("benchmark", "split", "gold_label_count", "matched_count",
                            "coverage", "matched", "unmatched")
-
-    def __init__(self, benchmark: str, split: str, gold_label_count: int, matched_count: int,
-                 coverage: Fraction, matched: list[str], unmatched: list[str]) -> None:
-        self.benchmark = benchmark
-        self.split = split
-        self.gold_label_count = gold_label_count
-        self.matched_count = matched_count
-        self.coverage = coverage
-        self.matched = matched
-        self.unmatched = unmatched
 
 
 AGGREGATE = "aggregate"

@@ -39,32 +39,14 @@ Mention = tuple[str, str]  # (label, span text)
 class GoldExample(Value):
     __slots__ = _fields = ("example_id", "text", "mentions")
 
-    def __init__(self, example_id: str, text: str, mentions: list[Mention]) -> None:
-        self.example_id = example_id
-        self.text = text
-        self.mentions = mentions
-
 
 class Prediction(Value):
     __slots__ = _fields = ("example_id", "mentions")
 
-    def __init__(self, example_id: str, mentions: list[Mention]) -> None:
-        self.example_id = example_id
-        self.mentions = mentions
-
 
 class EvalResult(Value):
     __slots__ = _fields = ("tp", "fp", "fn", "precision", "recall", "f1", "breakdown")
-
-    def __init__(self, tp: int, fp: int, fn: int, precision: float, recall: float, f1: float,
-                 breakdown: dict[str, EvalResult] | None = None) -> None:
-        self.tp = tp
-        self.fp = fp
-        self.fn = fn
-        self.precision = precision
-        self.recall = recall
-        self.f1 = f1
-        self.breakdown = {} if breakdown is None else breakdown
+    _defaults = {"breakdown": dict}
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int,

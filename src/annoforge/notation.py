@@ -135,22 +135,12 @@ class ParseError(ValueError):
 class FieldDef(Value):
     """One attribute of an entity class: a text or text-list slot plus its comment."""
 
-    __slots__ = _fields = ("name", "kind", "comment", "required")
-
-    def __init__(self, name: str, kind: str, comment: str, required: bool = True) -> None:
-        self.name = name
-        self.kind = kind  # TEXT or TEXT_LIST
-        self.comment = comment
-        self.required = required
+    __slots__ = _fields = ("name", "kind", "comment", "required")  # kind: TEXT or TEXT_LIST
+    _defaults = {"required": True}
 
 
 class EntityClass(Value):
     __slots__ = _fields = ("name", "guideline", "fields")
-
-    def __init__(self, name: str, guideline: str, fields: list[FieldDef]) -> None:
-        self.name = name
-        self.guideline = guideline
-        self.fields = fields
 
     def field_map(self) -> dict[str, FieldDef]:
         return {f.name: f for f in self.fields}
@@ -161,19 +151,12 @@ class Schema(Value):
 
     __slots__ = _fields = ("classes",)
 
-    def __init__(self, classes: list[EntityClass]) -> None:
-        self.classes = classes
-
     def class_map(self) -> dict[str, EntityClass]:
         return {c.name: c for c in self.classes}
 
 
 class EntityInstance(Value):
     __slots__ = _fields = ("class_name", "assignments")
-
-    def __init__(self, class_name: str, assignments: dict[str, str | list[str]]) -> None:
-        self.class_name = class_name
-        self.assignments = assignments
 
 
 class InstanceSet(Value):
@@ -182,18 +165,12 @@ class InstanceSet(Value):
     ``span`` and ``offsets`` are left out of equality and ``repr``."""
 
     _fields = ("doc_id", "instances")
+    # span: where the list literal sat in the parsed text, as (start, end).
+    # offsets: where each span value occurs verbatim in the document, or -1;
+    # a hint that ``validation.validate`` checks before use, None when there
+    # is none.
     __slots__ = (*_fields, "span", "offsets")
-
-    def __init__(self, doc_id: str, instances: list[EntityInstance],
-                 span: tuple[int, int] | None = None,
-                 offsets: list[int] | None = None) -> None:
-        self.doc_id = doc_id
-        self.instances = instances
-        # where the list literal sat in the parsed text, as (start, end) offsets
-        self.span = span
-        # where each span value occurs verbatim in the document, or -1; a hint
-        # that ``validation.validate`` checks before use, None when there is none
-        self.offsets = offsets
+    _defaults = {"span": None, "offsets": None}
 
 
 def _indent_width(line: str) -> int:

@@ -60,15 +60,6 @@ class ErrorCode(str, enum.Enum):
 class ValidationError(Value):
     __slots__ = _fields = ("code", "doc_id", "instance_index", "class_name", "field", "message")
 
-    def __init__(self, code: ErrorCode, doc_id: str, instance_index: int, class_name: str,
-                 field: str | None, message: str) -> None:
-        self.code = code
-        self.doc_id = doc_id
-        self.instance_index = instance_index
-        self.class_name = class_name
-        self.field = field
-        self.message = message
-
 
 def normalize_span(text: str) -> str:
     """Collapse runs of whitespace and fold case, for lenient span matching."""

@@ -121,6 +121,13 @@ def test_unknown_client_key_rejected(tmp_path):
         load_config(write_cfg(tmp_path, "client: {retries: 9}\n"))
 
 
+@pytest.mark.parametrize("written", ["exact", "off", '"off"', "false"])
+def test_grounding_reads_as_written(tmp_path, written):
+    """YAML 1.1 reads an unquoted ``off`` as false, which means ``off`` here."""
+    cfg = load_config(write_cfg(tmp_path, f"pipeline: {{grounding: {written}}}\n"))
+    assert cfg.grounding == ("exact" if written == "exact" else "off")
+
+
 @pytest.mark.parametrize("key", ["api_key", "apikey", "token", "secret"])
 def test_credentials_in_config_rejected(tmp_path, key):
     with pytest.raises(ConfigError, match="credentials belong in the environment"):
@@ -138,6 +145,7 @@ def test_credentials_rejected_at_top_level_too(tmp_path):
     pytest.param("corpus_format: parquet", "unknown config keys: ['corpus_format']",
                  id="corpus_format: parquet-unknown corpus_format"),
     ("pipeline: {grounding: fuzzy}", "unknown grounding policy"),
+    ("pipeline: {grounding: on}", "unknown grounding policy True"),
     ("client: {parallelism: 0}", "parallelism must be >= 1"),
     ("sample: {n: 0}", "sample n must be >= 1"),
     ("pipeline: {max_doc_chars: 0}", "max_doc_chars must be >= 1"),

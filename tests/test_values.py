@@ -4,6 +4,7 @@ cases hold each one to what ``@dataclass`` gave it."""
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -94,3 +95,37 @@ def test_value_class_contract(cls, fields, defaults):
         assert getattr(first, name) == default
         if isinstance(default, (dict, list)):
             assert getattr(first, name) is not getattr(second, name), name
+
+
+# each constructor's signature as @dataclass gave it, annotations aside
+SIGNATURES = [
+    (FieldDef, "(name, kind, comment, required=True)"),
+    (EntityClass, "(name, guideline, fields)"),
+    (Schema, "(classes)"),
+    (EntityInstance, "(class_name, assignments)"),
+    (InstanceSet, "(doc_id, instances, span=None, offsets=None)"),
+    (ValidationError, "(code, doc_id, instance_index, class_name, field, message)"),
+    (DatasetRecord, "(doc_id, document, summary, structured, guidelines_text, schema, "
+                    "instances, validation=None, meta=None, source=None)"),
+    (LabelStats, "(n_docs, unique_label_count, doc_frequency, annotation_frequency, "
+                 "avg_distinct_labels_per_doc, avg_annotations_per_doc)"),
+    (OverlapResult, "(benchmark, split, gold_label_count, matched_count, coverage, matched, "
+                    "unmatched)"),
+    (GoldExample, "(example_id, text, mentions)"),
+    (Prediction, "(example_id, mentions)"),
+    (EvalResult, "(tp, fp, fn, precision, recall, f1, breakdown=None)"),
+]
+
+
+@pytest.mark.parametrize("cls, expected", SIGNATURES,
+                         ids=[case[0].__name__ for case in SIGNATURES])
+def test_value_class_signature(cls, expected):
+    """Parameter names, order, kinds and defaults stay as they were, and a
+    missing argument names the class's ``__init__``."""
+    signature = inspect.signature(cls)
+    bare = signature.replace(
+        parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+        return_annotation=signature.empty)
+    assert str(bare) == expected
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing"):
+        cls()
